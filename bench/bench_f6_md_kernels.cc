@@ -209,8 +209,13 @@ void BM_NonbondedPairs(benchmark::State& state) {
                       /*tabulate_erfc=*/true);
     benchmark::DoNotOptimize(e.lj);
   }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(nlist.num_pairs()), benchmark::Counter::kIsRate);
+  // Per-iteration counts: the iteration-invariant rate multiplies by the
+  // iteration count before dividing by total time, so pairs/s is pairs
+  // divided by the per-iteration time.
+  state.counters["pairs"] = static_cast<double>(nlist.num_pairs());
+  state.counters["pairs/s"] =
+      benchmark::Counter(static_cast<double>(nlist.num_pairs()),
+                         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_NonbondedPairs)
     ->Arg(1)
@@ -246,8 +251,10 @@ void BM_PairKernelScalar(benchmark::State& state) {
                                        9.0 * 9.0, f);
     benchmark::DoNotOptimize(e);
   }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(nlist.num_pairs()), benchmark::Counter::kIsRate);
+  state.counters["pairs"] = static_cast<double>(nlist.num_pairs());
+  state.counters["pairs/s"] =
+      benchmark::Counter(static_cast<double>(nlist.num_pairs()),
+                         benchmark::Counter::kIsIterationInvariantRate);
   state.counters["simd_avx2"] = simd::kAvx2 ? 1.0 : 0.0;
 }
 BENCHMARK(BM_PairKernelScalar)->Unit(benchmark::kMillisecond);
@@ -272,8 +279,10 @@ void BM_PairKernelSimd(benchmark::State& state) {
                       /*tabulate_erfc=*/true);
     benchmark::DoNotOptimize(e.lj);
   }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(nlist.num_pairs()), benchmark::Counter::kIsRate);
+  state.counters["pairs"] = static_cast<double>(nlist.num_pairs());
+  state.counters["pairs/s"] =
+      benchmark::Counter(static_cast<double>(nlist.num_pairs()),
+                         benchmark::Counter::kIsIterationInvariantRate);
   state.counters["simd_avx2"] = simd::kAvx2 ? 1.0 : 0.0;
 }
 BENCHMARK(BM_PairKernelSimd)->Unit(benchmark::kMillisecond);
@@ -309,8 +318,8 @@ void BM_TableEvalScalar(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.out.data());
     benchmark::ClobberMemory();
   }
-  state.counters["evals/s"] =
-      benchmark::Counter(static_cast<double>(n), benchmark::Counter::kIsRate);
+  state.counters["evals/s"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate);
   state.counters["simd_avx2"] = simd::kAvx2 ? 1.0 : 0.0;
 }
 BENCHMARK(BM_TableEvalScalar)->Unit(benchmark::kMicrosecond);
@@ -324,8 +333,8 @@ void BM_TableEvalSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.out.data());
     benchmark::ClobberMemory();
   }
-  state.counters["evals/s"] =
-      benchmark::Counter(static_cast<double>(n), benchmark::Counter::kIsRate);
+  state.counters["evals/s"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate);
   state.counters["simd_avx2"] = simd::kAvx2 ? 1.0 : 0.0;
 }
 BENCHMARK(BM_TableEvalSimd)->Unit(benchmark::kMicrosecond);

@@ -3,8 +3,8 @@
 // parallel sweep harness vs a serial estimate loop.
 //
 // The storm workload and the compiled-in legacy baseline live in
-// des_storm.h (shared with F10's sharded-engine replay); pinning the
-// baseline in code keeps the comparison honest on any host.
+// des_storm.h; pinning the baseline in code keeps the comparison honest on
+// any host.
 //
 // The sweep section replays the F3 study (event-driven vs BSP across node
 // counts) serially and on a 4-thread SweepRunner and checks the merged

@@ -1,10 +1,10 @@
-// The mixed unicast/multicast event storm shared by the DES benches.
+// The mixed unicast/multicast event storm of the DES bench.
 //
 // F8 uses it to compare the pooled inline-callable queue against the
-// pre-rewrite std::function / std::priority_queue kernel; F10 replays the
-// same storm on the sharded parallel engine.  Keeping the baseline and the
-// workload in one header keeps every comparison honest: identical jitter,
-// identical payload shapes, identical FIFO tie-breaks on any host.
+// pre-rewrite std::function / std::priority_queue kernel.  Keeping the
+// baseline and the workload in one header keeps the comparison honest:
+// identical jitter, identical payload shapes, identical FIFO tie-breaks on
+// any host.
 //
 // The baseline (namespace `legacy`) is compiled in: the old event queue
 // stored each event as a std::function<void()> inside a binary
@@ -107,7 +107,7 @@ struct Deliver {
 // count, so a 2:1 unicast:multicast event mix is a conservative stand-in.
 // kFanOut = 4 is F8's deliberately conservative default; the real 512-node
 // step graph's position multicasts reach up to 13 import-region
-// destinations (avg 10.3), which F10 charges via set_fan_out().
+// destinations (avg 10.3), which run_storm()'s fan_out argument charges.
 inline constexpr int kMcastEvery = 3;
 inline constexpr int kFanOut = 4;
 

@@ -1,7 +1,8 @@
-// Fixture: the two tempting shortcuts in a cross-shard mailbox, seeded so
-// anton_lint keeps rejecting them.  A real ShardRing (src/sim/mailbox.h)
-// carries trivially-movable Parcels whose callables live in InlineFn
-// buffers, and orders drains by *simulated* time — never the host clock.
+// Fixture: the two tempting shortcuts in a DES-side message buffer, seeded
+// so anton_lint keeps rejecting them (des-std-function, raw-clock).  Event
+// callables in the discrete-event core live in sim::InlineFn buffers
+// (src/sim/event_queue.h), and event ordering uses *simulated* time, never
+// the host clock.
 #include <chrono>
 #include <functional>
 #include <vector>
@@ -16,7 +17,7 @@ struct Parcel {
 struct Mailbox {
   std::vector<Parcel> ring;
 
-  // violation: std::function parameter on the cross-shard post path
+  // violation: std::function parameter on the post path
   void post(double t, std::function<void()> fn);
 
   double drain_deadline() const {
