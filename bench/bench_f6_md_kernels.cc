@@ -198,15 +198,14 @@ void BM_NonbondedPairs(benchmark::State& state) {
     // loop below measures the allocation-free steady state only.
     EnergyReport e;
     compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                      f, e, p, false, &ws, true);
+                      f, e, p, /*shift_at_cutoff=*/false, &ws);
   }
   PerfTap tap(state);
   for (auto _ : state) {
     EnergyReport e;
     std::fill(f.begin(), f.end(), Vec3{});
     compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                      f, e, p, /*shift_at_cutoff=*/false, &ws,
-                      /*tabulate_erfc=*/true);
+                      f, e, p, /*shift_at_cutoff=*/false, &ws);
     benchmark::DoNotOptimize(e.lj);
   }
   // Per-iteration counts: the iteration-invariant rate multiplies by the
@@ -240,7 +239,7 @@ void BM_PairKernelScalar(benchmark::State& state) {
     // (premixed LJ, prescaled charges, erfc tables) the legacy loop reads.
     EnergyReport e;
     compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                      f, e, nullptr, false, &ws, true);
+                      f, e, nullptr, /*shift_at_cutoff=*/false, &ws);
   }
   const Topology& top = sys.topology();
   PerfTap tap(state);
@@ -268,15 +267,14 @@ void BM_PairKernelSimd(benchmark::State& state) {
   {
     EnergyReport e;
     compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                      f, e, nullptr, false, &ws, true);
+                      f, e, nullptr, /*shift_at_cutoff=*/false, &ws);
   }
   PerfTap tap(state);
   for (auto _ : state) {
     EnergyReport e;
     std::fill(f.begin(), f.end(), Vec3{});
     compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                      f, e, nullptr, /*shift_at_cutoff=*/false, &ws,
-                      /*tabulate_erfc=*/true);
+                      f, e, nullptr, /*shift_at_cutoff=*/false, &ws);
     benchmark::DoNotOptimize(e.lj);
   }
   state.counters["pairs"] = static_cast<double>(nlist.num_pairs());

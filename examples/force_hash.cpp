@@ -1,9 +1,11 @@
 // Prints a bit-exact digest of the forces and energies of one deterministic
-// force evaluation.  Two builds that claim bitwise-identical physics — e.g.
-// the AVX2 and scalar SIMD backends, or different thread counts under
-// deterministic_forces — must print byte-identical output; scripts/check.sh
-// diffs this across the two backend trees as the cross-configuration parity
-// smoke test.
+// force evaluation, plus the force digest of the same evaluation with the
+// default double-precision accumulation (force_digest_fast).  Two builds
+// that claim bitwise-identical physics — e.g. the AVX2 and scalar SIMD
+// backends at the same thread count — must print byte-identical output;
+// scripts/check.sh diffs this across the two backend trees as the
+// cross-configuration parity smoke test.  force_digest alone is also
+// identical across thread counts.
 //
 //   ./build/examples/force_hash [molecules=729] [threads=4] [seed=11]
 #include <cinttypes>
@@ -48,27 +50,37 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(cfg.get_int("seed", 11));
 
   System sys = build_water_box(molecules, seed);
-  MdParams md;
-  md.cutoff = 9.0;
-  md.skin = 1.0;
-  md.tabulate_erfc = true;
-  md.deterministic_forces = true;
-  md.long_range = LongRangeMethod::kMesh;
-
   ThreadPool pool(static_cast<unsigned>(threads));
-  md::ForceCompute fc(sys.topology_ptr(), sys.box(), md, &pool);
   std::vector<Vec3> forces(static_cast<size_t>(sys.num_atoms()), Vec3{});
-  fc.warm(sys.positions());
-  const EnergyReport e = fc.compute_all(sys.positions(), forces);
+  auto evaluate = [&](bool deterministic) {
+    MdParams md;
+    md.cutoff = 9.0;
+    md.skin = 1.0;
+    md.deterministic_forces = deterministic;
+    md.long_range = LongRangeMethod::kMesh;
+    md::ForceCompute fc(sys.topology_ptr(), sys.box(), md, &pool);
+    fc.warm(sys.positions());
+    return fc.compute_all(sys.positions(), forces);
+  };
+  auto digest = [&] {
+    Digest d;
+    for (const Vec3& f : forces) {
+      d.add(f.x);
+      d.add(f.y);
+      d.add(f.z);
+    }
+    return d.h;
+  };
 
-  Digest d;
-  for (const Vec3& f : forces) {
-    d.add(f.x);
-    d.add(f.y);
-    d.add(f.z);
-  }
+  // The deterministic evaluation runs last: the f0 and energy lines below
+  // print its results.
+  evaluate(false);
+  const uint64_t fast_digest = digest();
+  const EnergyReport e = evaluate(true);
+
   std::printf("atoms %d threads %d\n", sys.num_atoms(), threads);
-  std::printf("force_digest %016" PRIx64 "\n", d.h);
+  std::printf("force_digest %016" PRIx64 "\n", digest());
+  std::printf("force_digest_fast %016" PRIx64 "\n", fast_digest);
   std::printf("f0 %016" PRIx64 " %016" PRIx64 " %016" PRIx64 "\n",
               bits_of(forces[0].x), bits_of(forces[0].y),
               bits_of(forces[0].z));

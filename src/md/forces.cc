@@ -35,12 +35,11 @@ ForceCompute::ForceCompute(std::shared_ptr<const Topology> top, Box box,
                         << top_->total_charge());
   }
   // Build the persistent caches up front so steady-state stepping never
-  // touches the allocator: premixed LJ table, prescaled charges, optional
-  // erfc tables, per-thread force buffers, and the compute_all scratch.
+  // touches the allocator: premixed LJ table, prescaled charges, erfc
+  // tables, per-thread force buffers, and the compute_all scratch.
   const double alpha =
       params_.long_range == LongRangeMethod::kNone ? 0.0 : params_.ewald_alpha;
-  ws_.build_cache(*top_, alpha, params_.cutoff, params_.shift_at_cutoff,
-                  params_.tabulate_erfc, params_.erfc_table_target_err);
+  ws_.build_cache(*top_, alpha, params_.cutoff, params_.shift_at_cutoff);
   const size_t n = static_cast<size_t>(top_->num_atoms());
   ws_.ensure_threads(pool_ != nullptr ? pool_->size() : 1, n);
   ws_.f_long().assign(n, Vec3{});
@@ -88,7 +87,7 @@ EnergyReport ForceCompute::compute_short(std::span<const Vec3> pos,
   {
     obs::PhaseProfiler::Scope sc(prof_, "pair");
     compute_nonbonded(box_, *top_, nlist_, pos, alpha, forces, e, pool_,
-                      params_.shift_at_cutoff, &ws_, params_.tabulate_erfc,
+                      params_.shift_at_cutoff, &ws_,
                       params_.deterministic_forces, pair_thread_stat_);
     if (params_.long_range != LongRangeMethod::kNone) {
       compute_excluded_correction(box_, *top_, pos, params_.ewald_alpha,

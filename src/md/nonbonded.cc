@@ -17,14 +17,12 @@ constexpr double kTwoOverSqrtPi = 1.1283791670955126;
 // Atom count below which threading overhead beats the parallel win.
 constexpr size_t kSerialThreshold = 2048;
 
-// Accumulator policies for the pair kernels.  The kernels compute each
-// per-pair contribution (pure function of positions and parameters, so
-// identical regardless of which thread evaluates it) and hand it to the
-// accumulator, which decides the summation arithmetic:
+// Accumulator policies for the excluded-pair correction kernel.  The kernel
+// computes each per-pair contribution (a pure function of positions and
+// parameters, so identical regardless of which thread evaluates it) and
+// hands it to the accumulator, which decides the summation arithmetic:
 //
-//   DoubleAcc — the default double-precision path, op-for-op identical to
-//     the pre-refactor kernel (per-atom fi register, f[j] scatter), so it is
-//     deterministic for a fixed thread count and matches serial to ~1e-10.
+//   DoubleAcc — double precision, deterministic for a fixed thread count.
 //
 //   FixedAcc — the deterministic mode: every contribution is quantized to
 //     32.32 fixed point at accumulation.  Fixed addition is exactly
@@ -34,20 +32,8 @@ constexpr size_t kSerialThreshold = 2048;
 struct DoubleAcc {
   std::span<Vec3> f;
   PairEnergyPartial e{};
-  Vec3 fi{};
 
-  void begin_atom(size_t) { fi = Vec3{}; }
-  void end_atom(size_t i) { f[i] += fi; }
-  void add_lj(double de) { e.lj += de; }
-  void add_coul(double de) { e.coul += de; }
   void add_excl(double de) { e.excl += de; }
-  // Half-list pair: i accumulates in the register, j scatters.
-  void add_pair(size_t, size_t j, const Vec3& fv, double vir) {
-    e.virial += vir;
-    fi += fv;
-    f[j] -= fv;
-  }
-  // Direct (exclusion-loop) pair: both sides scatter.
   void add_pair_direct(size_t i, size_t j, const Vec3& fv, double vir) {
     e.virial += vir;
     f[i] += fv;
@@ -59,18 +45,11 @@ struct FixedAcc {
   std::span<ForceFixed> f;
   PairEnergyPartialFixed e{};
 
-  void begin_atom(size_t) {}
-  void end_atom(size_t) {}
-  void add_lj(double de) { e.lj += Fixed<32>::from_double(de); }
-  void add_coul(double de) { e.coul += Fixed<32>::from_double(de); }
   void add_excl(double de) { e.excl += Fixed<32>::from_double(de); }
-  void add_pair(size_t i, size_t j, const Vec3& fv, double vir) {
+  void add_pair_direct(size_t i, size_t j, const Vec3& fv, double vir) {
     e.virial += Fixed<32>::from_double(vir);
     f[i].accumulate(fv);
     f[j].accumulate(-fv);
-  }
-  void add_pair_direct(size_t i, size_t j, const Vec3& fv, double vir) {
-    add_pair(i, j, fv, vir);
   }
 };
 
@@ -82,15 +61,14 @@ struct FixedAcc {
 //   DoubleBatchAcc — vector partial accumulators for the i-row force and the
 //     range energies, folded lane-by-lane in the fixed order
 //     ((l0+l1)+l2)+l3 at row/range end.  Both SIMD backends run this same
-//     lane structure, so the double path is ALSO bitwise identical across
+//     lane structure, so the double path is bitwise identical across
 //     ANTON_SIMD=avx2 and scalar (and deterministic for a fixed thread
-//     count, as before).
+//     count).
 //
 //   FixedBatchAcc — the deterministic mode: each lane's contribution is
 //     extracted and quantized to 32.32 fixed point individually, in lane
-//     order, exactly as the scalar kernel quantizes per pair.  Fixed
-//     addition is exactly associative, so the result is bitwise identical
-//     for any thread count AND any backend.
+//     order.  Fixed addition is exactly associative, so the result is
+//     bitwise identical for any thread count AND any backend.
 struct DoubleBatchAcc {
   std::span<Vec3> f;
   PairEnergyPartial e{};
@@ -170,8 +148,7 @@ struct FixedBatchAcc {
     e_lj.storeu(blj);
     e_c.storeu(bec);
     vir.storeu(bvir);
-    // Per-lane quantization in lane order: bitwise identical to the scalar
-    // kernel's per-pair quantization (and exactly associative thereafter).
+    // Per-lane quantization in lane order (exactly associative thereafter).
     for (int l = 0; l < cnt; ++l) {
       e.lj += Fixed<32>::from_double(blj[l]);
       e.coul += Fixed<32>::from_double(bec[l]);
@@ -436,118 +413,6 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
   acc.finish();
 }
 
-// Inner kernel over the i-range [begin, end); contributions flow through the
-// accumulator policy.  All per-pair parameters come from the workspace
-// caches (premixed LJ table, prescaled charges), so the loop reads flat SoA
-// arrays only.  With kTable the screened-Coulomb energy/force factors come
-// from cubic-Hermite tables in r² (no sqrt, no erfc/exp on the hot path).
-template <bool kTable, class Acc>
-void pair_kernel(const Box& box, const ForceWorkspace& ws,
-                 const NeighborList& nlist, std::span<const Vec3> pos,
-                 std::span<const int> types, std::span<const double> charges,
-                 double alpha, double cutoff2, size_t begin, size_t end,
-                 Acc& acc) {
-  ANTON_HOT_NOALLOC();
-  const auto q_scaled = ws.scaled_charges();
-  const double coul_shift = ws.coul_shift();
-  const int ntypes = ws.num_types();
-  const LjMixed* lj_table = &ws.lj(0, 0);
-  // Minimum-image applied inline with precomputed reciprocal box lengths:
-  // nearbyint(d * 1/L) instead of nearbyint(d / L) removes three double
-  // divisions per candidate pair, which -O2 cannot do on its own.
-  const Vec3 box_l = box.lengths();
-  const Vec3 inv_l{1.0 / box_l.x, 1.0 / box_l.y, 1.0 / box_l.z};
-  [[maybe_unused]] const double table_r2_min =
-      kTable ? ws.table_r2_min() : 0.0;
-  [[maybe_unused]] const CoulTableView tab =
-      kTable ? ws.coul_ef() : CoulTableView{};
-
-  for (size_t i = begin; i < end; ++i) {
-    const Vec3 pi = pos[i];
-    const double qi = q_scaled[i];
-    const LjMixed* lj_row = lj_table + types[i] * ntypes;
-    acc.begin_atom(i);
-    for (int j : nlist.neighbors_of(static_cast<int>(i))) {
-      Vec3 d = pi - pos[static_cast<size_t>(j)];
-      d.x -= box_l.x * std::nearbyint(d.x * inv_l.x);
-      d.y -= box_l.y * std::nearbyint(d.y * inv_l.y);
-      d.z -= box_l.z * std::nearbyint(d.z * inv_l.z);
-      const double r2 = norm2(d);
-      if (r2 >= cutoff2) continue;
-      double f_pair = 0.0;
-
-      // Lennard-Jones from the premixed type-pair table.
-      const LjMixed& lj = lj_row[types[static_cast<size_t>(j)]];
-      if (lj.eps > 0) {
-        const double inv_r2 = 1.0 / r2;
-        const double sr2 = lj.sigma2 * inv_r2;
-        const double sr6 = sr2 * sr2 * sr2;
-        f_pair += 24.0 * lj.eps * (2.0 * sr6 * sr6 - sr6) * inv_r2;
-        acc.add_lj(4.0 * lj.eps * (sr6 * sr6 - sr6) - lj.e_shift);
-      }
-
-      // Coulomb (screened when alpha > 0).
-      const double qq = qi * charges[static_cast<size_t>(j)];
-      if (qq != 0.0) {
-        double e_c, f_c;
-        if constexpr (kTable) {
-          if (r2 >= table_r2_min) {
-            // Fused cubic-Hermite lookup: one index computation and one
-            // basis evaluation feed both the energy and the force factor
-            // (which already folds in the 1/r², so no division here).
-            const double s = (r2 - tab.x0) * tab.inv_h;
-            int k = static_cast<int>(s);
-            if (k > tab.n - 2) k = tab.n - 2;
-            const double t = s - k;
-            const CoulNode& a = tab.nodes[k];
-            const CoulNode& b = tab.nodes[k + 1];
-            const double t2 = t * t;
-            const double t3 = t2 * t;
-            const double h00 = 2 * t3 - 3 * t2 + 1;
-            const double h10 = (t3 - 2 * t2 + t) * tab.h;
-            const double h01 = -2 * t3 + 3 * t2;
-            const double h11 = (t3 - t2) * tab.h;
-            e_c = qq * (h00 * a.ev + h10 * a.ed + h01 * b.ev + h11 * b.ed -
-                        coul_shift);
-            f_c = qq * (h00 * a.fv + h10 * a.fd + h01 * b.fv + h11 * b.fd);
-          } else {
-            const double inv_r2 = 1.0 / r2;
-            const double r = std::sqrt(r2);
-            const double ar = alpha * r;
-            const double erfc_ar = std::erfc(ar);
-            e_c = qq * (erfc_ar / r - coul_shift);
-            f_c = qq *
-                  (erfc_ar / r +
-                   kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) *
-                  inv_r2;
-          }
-        } else {
-          const double inv_r2 = 1.0 / r2;
-          const double r = std::sqrt(r2);
-          if (alpha > 0) {
-            const double ar = alpha * r;
-            const double erfc_ar = std::erfc(ar);
-            e_c = qq * (erfc_ar / r - coul_shift);
-            f_c = qq *
-                  (erfc_ar / r +
-                   kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) *
-                  inv_r2;
-          } else {
-            e_c = qq * (1.0 / r - coul_shift);
-            f_c = qq / r * inv_r2;
-          }
-        }
-        acc.add_coul(e_c);
-        f_pair += f_c;
-      }
-
-      const Vec3 fv = f_pair * d;
-      acc.add_pair(i, static_cast<size_t>(j), fv, dot(d, fv));
-    }
-    acc.end_atom(i);
-  }
-}
-
 // Excluded-pair correction kernel over the i-range [begin, end).
 template <class Acc>
 void excluded_kernel(const Box& box, const Topology& top,
@@ -630,8 +495,7 @@ void compute_nonbonded(const Box& box, const Topology& top,
                        double alpha, std::span<Vec3> forces,
                        EnergyReport& energy, ThreadPool* pool,
                        bool shift_at_cutoff, ForceWorkspace* ws,
-                       bool tabulate_erfc, bool deterministic,
-                       obs::Stat* thread_stat) {
+                       bool deterministic, obs::Stat* thread_stat) {
   ANTON_CHECK(nlist.built());
   ANTON_CHECK(nlist.num_atoms() == top.num_atoms());
   const double cutoff = nlist.cutoff();
@@ -640,14 +504,13 @@ void compute_nonbonded(const Box& box, const Topology& top,
 
   ForceWorkspace local;
   if (ws == nullptr) ws = &local;
-  ws->build_cache(top, alpha, cutoff, shift_at_cutoff, tabulate_erfc);
-  const bool use_table = tabulate_erfc && alpha > 0 && ws->tables_ready();
+  ws->build_cache(top, alpha, cutoff, shift_at_cutoff);
 
   const auto types = top.types();
   const auto charges = top.charges();
-  // The vectorized kernel reads per-neighbor [x y z q] records from the
+  // The pair kernel reads per-neighbor [x y z q] records from the
   // workspace's interleaved staging.
-  if (use_table) ws->stage_positions(pos, charges);
+  ws->stage_positions(pos, charges);
 
   if (deterministic) {
     // Fixed-point accumulation: any chunking gives the same bits, so serial
@@ -656,17 +519,10 @@ void compute_nonbonded(const Box& box, const Topology& top,
         (pool == nullptr || n < kSerialThreshold) ? 1 : pool->size();
     ws->ensure_fixed_threads(T, n);
     auto run_fixed = [&](size_t begin, size_t end, unsigned t) {
-      if (use_table) {
-        FixedBatchAcc acc{ws->thread_force_fixed(t)};
-        pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2,
-                         begin, end, acc);
-        ws->partial_fixed(t) = acc.e;
-      } else {
-        FixedAcc acc{ws->thread_force_fixed(t)};
-        pair_kernel<false>(box, *ws, nlist, pos, types, charges, alpha,
-                           cutoff2, begin, end, acc);
-        ws->partial_fixed(t) = acc.e;
-      }
+      FixedBatchAcc acc{ws->thread_force_fixed(t)};
+      pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2, begin,
+                       end, acc);
+      ws->partial_fixed(t) = acc.e;
     };
     if (T <= 1) {
       const double w0 = thread_stat != nullptr ? obs::wall_seconds() : 0.0;
@@ -709,15 +565,9 @@ void compute_nonbonded(const Box& box, const Topology& top,
 
   auto run = [&](size_t begin, size_t end,
                  std::span<Vec3> f) -> PairEnergyPartial {
-    if (use_table) {
-      DoubleBatchAcc acc{f};
-      pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2, begin,
-                       end, acc);
-      return acc.e;
-    }
-    DoubleAcc acc{f};
-    pair_kernel<false>(box, *ws, nlist, pos, types, charges, alpha, cutoff2,
-                       begin, end, acc);
+    DoubleBatchAcc acc{f};
+    pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2, begin,
+                     end, acc);
     return acc.e;
   };
 

@@ -31,13 +31,15 @@ namespace anton::md {
 // they vanish at the cutoff (forces unchanged) — the conserved quantity is
 // then continuous as pairs cross the cutoff.
 //
-// Passing a ForceWorkspace makes steady-state evaluation allocation-free:
-// the premixed LJ type-pair table, prescaled charges, per-thread buffers and
-// (optionally) the tabulated erfc kernel all persist in it.  Without one, a
-// temporary workspace is built per call (convenient for tests).  With
-// tabulate_erfc (and alpha > 0), per-pair std::erfc/std::exp are replaced by
-// cubic-Hermite table lookups in r²; accuracy is bounded by the workspace's
-// table build (see ForceWorkspace::build_cache).
+// The pair loop is one vectorized kernel: Coulomb comes from cubic-Hermite
+// table lookups in r² (the software analogue of Anton's PPIM function
+// tables), with accuracy bounded by the workspace's table build (see
+// ForceWorkspace::build_cache); exact std::erfc is used only for pairs under
+// the table floor.  Passing a ForceWorkspace makes steady-state evaluation
+// allocation-free: the premixed LJ type-pair table, prescaled charges,
+// Coulomb tables, staged positions and per-thread buffers all persist in
+// it.  Without one, a temporary workspace, tables included, is built per
+// call (convenient for tests).
 // With deterministic, every per-pair contribution is quantized to 32.32
 // fixed point before accumulation (MdParams::deterministic_forces): the
 // result is bitwise identical across ALL thread counts, serial included.
@@ -50,7 +52,6 @@ void compute_nonbonded(const Box& box, const Topology& top,
                        EnergyReport& energy, ThreadPool* pool = nullptr,
                        bool shift_at_cutoff = false,
                        ForceWorkspace* ws = nullptr,
-                       bool tabulate_erfc = false,
                        bool deterministic = false,
                        obs::Stat* thread_stat = nullptr);
 

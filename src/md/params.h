@@ -33,14 +33,6 @@ struct MdParams {
   // moderate cutoffs).  Forces are unchanged.
   bool shift_at_cutoff = true;
 
-  // Tabulated screened-Coulomb pair kernel: replaces per-pair
-  // std::erfc/std::exp with cubic-Hermite table lookups in r² (the software
-  // analogue of the PPIM functional tables).  The tables are refined at
-  // construction until their measured max relative error is below
-  // erfc_table_target_err, so the accuracy budget is explicit.
-  bool tabulate_erfc = false;
-  double erfc_table_target_err = 1e-9;
-
   // Deterministic force accumulation (the scheme Anton runs in silicon):
   // every contribution whose accumulation order could depend on the thread
   // decomposition is quantized to fixed point before summing — per-pair

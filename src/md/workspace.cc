@@ -12,6 +12,10 @@ namespace {
 
 constexpr double kTwoOverSqrtPi = 1.1283791670955126;
 
+// Accuracy bound of the erfc tables: max relative error of the energy and
+// force interpolants on interval midpoints.
+constexpr double kTableTargetErr = 1e-9;
+
 // Screened-Coulomb energy per unit qq as a function of r²:
 //   E(r²) = erfc(alpha r) / r.
 double erfc_energy_r2(double alpha, double r2) {
@@ -42,15 +46,13 @@ double erfc_force_deriv_r2(double alpha, double r2) {
 }  // namespace
 
 void ForceWorkspace::build_cache(const Topology& top, double alpha,
-                                 double cutoff, bool shift_at_cutoff,
-                                 bool tabulate_erfc, double table_target_err) {
+                                 double cutoff, bool shift_at_cutoff) {
   const ForceField& ff = top.forcefield();
   const int ntypes = ff.num_types();
   const size_t n = static_cast<size_t>(top.num_atoms());
-  const bool want_tables = tabulate_erfc && alpha > 0;
   if (cache_ready_ && ntypes_ == ntypes && q_scaled_.size() == n &&
       cache_alpha_ == alpha && cache_cutoff_ == cutoff &&
-      cache_shift_ == shift_at_cutoff && tables_ready_ == want_tables) {
+      cache_shift_ == shift_at_cutoff) {
     return;
   }
 
@@ -95,50 +97,47 @@ void ForceWorkspace::build_cache(const Topology& top, double alpha,
                                  : 1.0 / cutoff)
                     : 0.0;
 
-  tables_ready_ = false;
-  table_max_rel_err_ = 0;
-  if (want_tables) {
-    // Tabulate over r² so the kernel needs no sqrt.  Pairs can in principle
-    // approach closer than the table floor during bad initial geometry; the
-    // kernel falls back to the analytic form below table_r2_min().
-    table_r2_min_ = 0.25;  // r = 0.5 Å
-    const double x1 = cutoff2;
-    auto e_fn = [alpha](double x) { return erfc_energy_r2(alpha, x); };
-    auto e_dfn = [alpha](double x) { return -0.5 * erfc_force_r2(alpha, x); };
-    auto f_fn = [alpha](double x) { return erfc_force_r2(alpha, x); };
-    auto f_dfn = [alpha](double x) { return erfc_force_deriv_r2(alpha, x); };
-    // Refine by node doubling until the measured midpoint error meets the
-    // accuracy bound.
-    for (int nodes = 2048; nodes <= (1 << 17); nodes *= 2) {
-      coul_e_.build(table_r2_min_, x1, nodes, e_fn, e_dfn);
-      coul_f_.build(table_r2_min_, x1, nodes, f_fn, f_dfn);
-      double max_rel = 0;
-      const double h = (x1 - table_r2_min_) / (nodes - 1);
-      for (int k = 0; k + 1 < nodes; ++k) {
-        const double x = table_r2_min_ + (k + 0.5) * h;
-        const double ee = e_fn(x), fe = f_fn(x);
-        max_rel = std::max(max_rel, std::abs(coul_e_(x) - ee) /
-                                        std::max(std::abs(ee), 1e-300));
-        max_rel = std::max(max_rel, std::abs(coul_f_(x) - fe) /
-                                        std::max(std::abs(fe), 1e-300));
-      }
-      table_max_rel_err_ = max_rel;
-      if (max_rel <= table_target_err) break;
+  // Tabulate over r² so the kernel needs no sqrt.  Pairs can in principle
+  // approach closer than the table floor during bad initial geometry; the
+  // kernel falls back to the analytic form below table_r2_min().  With
+  // alpha == 0 (cutoff-only electrostatics) erfc(0) == 1 and the exp terms
+  // vanish, so the same formulas tabulate plain 1/r Coulomb.
+  table_r2_min_ = 0.25;  // r = 0.5 Å
+  const double x1 = cutoff2;
+  auto e_fn = [alpha](double x) { return erfc_energy_r2(alpha, x); };
+  auto e_dfn = [alpha](double x) { return -0.5 * erfc_force_r2(alpha, x); };
+  auto f_fn = [alpha](double x) { return erfc_force_r2(alpha, x); };
+  auto f_dfn = [alpha](double x) { return erfc_force_deriv_r2(alpha, x); };
+  // Refine by node doubling until the measured midpoint error meets the
+  // accuracy bound.
+  for (int nodes = 2048; nodes <= (1 << 17); nodes *= 2) {
+    coul_e_.build(table_r2_min_, x1, nodes, e_fn, e_dfn);
+    coul_f_.build(table_r2_min_, x1, nodes, f_fn, f_dfn);
+    double max_rel = 0;
+    const double h = (x1 - table_r2_min_) / (nodes - 1);
+    for (int k = 0; k + 1 < nodes; ++k) {
+      const double x = table_r2_min_ + (k + 0.5) * h;
+      const double ee = e_fn(x), fe = f_fn(x);
+      max_rel = std::max(max_rel, std::abs(coul_e_(x) - ee) /
+                                      std::max(std::abs(ee), 1e-300));
+      max_rel = std::max(max_rel, std::abs(coul_f_(x) - fe) /
+                                      std::max(std::abs(fe), 1e-300));
     }
-    // Pack the converged node set into the fused interleaved layout used by
-    // the pair kernel.  Samples are recomputed with the exact expressions the
-    // CubicTable build used, so the node values are bitwise identical and the
-    // measured accuracy bound transfers.
-    const int n_nodes = coul_e_.num_nodes();
-    ef_h_ = (x1 - table_r2_min_) / (n_nodes - 1);
-    ef_inv_h_ = 1.0 / ef_h_;
-    ef_nodes_.resize(static_cast<size_t>(n_nodes));
-    for (int k = 0; k < n_nodes; ++k) {
-      const double x = table_r2_min_ + k * ef_h_;
-      ef_nodes_[static_cast<size_t>(k)] = {e_fn(x), e_dfn(x), f_fn(x),
-                                           f_dfn(x)};
-    }
-    tables_ready_ = true;
+    table_max_rel_err_ = max_rel;
+    if (max_rel <= kTableTargetErr) break;
+  }
+  // Pack the converged node set into the fused interleaved layout used by
+  // the pair kernel.  Samples are recomputed with the exact expressions the
+  // CubicTable build used, so the node values are bitwise identical and the
+  // measured accuracy bound transfers.
+  const int n_nodes = coul_e_.num_nodes();
+  ef_h_ = (x1 - table_r2_min_) / (n_nodes - 1);
+  ef_inv_h_ = 1.0 / ef_h_;
+  ef_nodes_.resize(static_cast<size_t>(n_nodes));
+  for (int k = 0; k < n_nodes; ++k) {
+    const double x = table_r2_min_ + k * ef_h_;
+    ef_nodes_[static_cast<size_t>(k)] = {e_fn(x), e_dfn(x), f_fn(x),
+                                         f_dfn(x)};
   }
 
   ntypes_ = ntypes;

@@ -13,7 +13,7 @@
 //   - a dense premixed Lennard-Jones type-pair table (Lorentz–Berthelot
 //     applied once, with the cutoff energy shift folded in),
 //   - the Coulomb-prescaled charge array,
-//   - optional cubic-Hermite tables for the erfc screened-Coulomb kernel.
+//   - the cubic-Hermite tables of the screened-Coulomb pair kernel.
 #pragma once
 
 #include <span>
@@ -82,15 +82,14 @@ struct CoulTableView {
 class ForceWorkspace {
  public:
   // Builds the per-system caches (LJ table, scaled charges, erfc tables).
-  // Idempotent for identical (topology size, alpha, cutoff, shift, tabulate)
-  // inputs, so callers may invoke it on every evaluation.
+  // Idempotent for identical (topology size, alpha, cutoff, shift) inputs,
+  // so callers may invoke it on every evaluation.
   //
-  // When tabulate_erfc is set (and alpha > 0), the erfc energy/force tables
-  // are refined by node doubling until their measured max relative error on
-  // interval midpoints is <= table_target_err (the accuracy bound).
+  // The erfc(alpha r)/r energy and force tables are refined by node doubling
+  // until their measured max relative error on interval midpoints is <= 1e-9
+  // (the accuracy bound).  alpha == 0 tabulates plain 1/r Coulomb.
   void build_cache(const Topology& top, double alpha, double cutoff,
-                   bool shift_at_cutoff, bool tabulate_erfc,
-                   double table_target_err = 1e-9);
+                   bool shift_at_cutoff);
 
   // Sizes the per-thread buffers; thread force buffers are zeroed whenever
   // their geometry changes and are otherwise kept zeroed by the reduction.
@@ -121,7 +120,6 @@ class ForceWorkspace {
   std::span<const double> scaled_charges() const { return q_scaled_; }
   double coul_shift() const { return coul_shift_; }
 
-  bool tables_ready() const { return tables_ready_; }
   const CubicTable& coul_e() const { return coul_e_; }
   const CubicTable& coul_f() const { return coul_f_; }
   CoulTableView coul_ef() const {
@@ -166,7 +164,6 @@ class ForceWorkspace {
   double ef_h_ = 1, ef_inv_h_ = 1;
   double table_r2_min_ = 0;
   double table_max_rel_err_ = 0;
-  bool tables_ready_ = false;
 
   // Steady-state scratch.
   std::vector<double> soa_xyzq_;

@@ -1,6 +1,6 @@
-// Tabulated pair kernels: cubic-Hermite table machinery, the erfc table
-// accuracy bound, parity between tabulated and analytic short-range forces,
-// and NVE energy conservation with tables enabled.
+// Tabulated pair kernel: cubic-Hermite table machinery, the erfc table
+// accuracy bound, parity between the tabulated short-range forces and an
+// exact std::erfc oracle, and NVE energy conservation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -84,9 +84,7 @@ TEST(ErfcTables, MeetAccuracyBound) {
   const double alpha = 0.35;
   const double cutoff = 9.0;
   ForceWorkspace ws;
-  ws.build_cache(sys.topology(), alpha, cutoff, /*shift_at_cutoff=*/true,
-                 /*tabulate_erfc=*/true, /*table_target_err=*/1e-9);
-  ASSERT_TRUE(ws.tables_ready());
+  ws.build_cache(sys.topology(), alpha, cutoff, /*shift_at_cutoff=*/true);
   EXPECT_LE(ws.table_max_rel_err(), 1e-9);
 
   // Independent dense sweep in r (not the build's midpoint grid): both the
@@ -122,32 +120,97 @@ TEST(ErfcTables, MeetAccuracyBound) {
   }
 }
 
+// Exact reference for compute_nonbonded with shift_at_cutoff: every
+// non-excluded pair under the minimum image within the cutoff, LJ from the
+// force field's mixing rule and Coulomb from std::erfc (plain 1/r when
+// alpha == 0), each energy shifted to zero at the cutoff.
+struct PairReference {
+  std::vector<Vec3> f;
+  EnergyReport e;
+};
+
+PairReference brute_force_pairs(const System& sys, double alpha,
+                                double cutoff) {
+  const Topology& top = sys.topology();
+  const ForceField& ff = top.forcefield();
+  const auto pos = sys.positions();
+  const int n = top.num_atoms();
+  const double cutoff2 = cutoff * cutoff;
+  auto coul_e = [alpha](double r) {
+    return alpha > 0 ? std::erfc(alpha * r) / r : 1.0 / r;
+  };
+  PairReference ref;
+  ref.f.assign(static_cast<size_t>(n), Vec3{});
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (top.excluded(i, j)) continue;
+      const Vec3 d = sys.box().min_image(pos[static_cast<size_t>(i)],
+                                         pos[static_cast<size_t>(j)]);
+      const double r2 = norm2(d);
+      if (r2 >= cutoff2) continue;
+      const double r = std::sqrt(r2);
+      double f_pair = 0;  // -dE/dr / r
+      const LjPair lj = ff.lj(top.type(i), top.type(j));
+      if (lj.eps > 0) {
+        const double sr6 = std::pow(lj.sigma * lj.sigma / r2, 3);
+        const double sc6 = std::pow(lj.sigma * lj.sigma / cutoff2, 3);
+        ref.e.lj += 4 * lj.eps * ((sr6 * sr6 - sr6) - (sc6 * sc6 - sc6));
+        f_pair += 24 * lj.eps * (2 * sr6 * sr6 - sr6) / r2;
+      }
+      const double qq = units::kCoulomb * top.charge(i) * top.charge(j);
+      if (qq != 0) {
+        const double ar = alpha * r;
+        ref.e.coulomb_real += qq * (coul_e(r) - coul_e(cutoff));
+        f_pair += qq *
+                  (coul_e(r) + kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) /
+                  r2;
+      }
+      const Vec3 fv = f_pair * d;
+      ref.f[static_cast<size_t>(i)] += fv;
+      ref.f[static_cast<size_t>(j)] -= fv;
+      ref.e.virial += dot(d, fv);
+    }
+  }
+  return ref;
+}
+
+// The tabulated pair kernel against the exact oracle above, for Ewald
+// real-space screening and for plain cutoff Coulomb (alpha == 0, which is
+// tabulated too).
 TEST(ErfcTables, TabulatedNonbondedMatchesAnalytic) {
   const System sys = build_water_box(216, 21);
-  NeighborList nlist(6.5, 0.7);
+  const double cutoff = 6.5;
+  NeighborList nlist(cutoff, 0.7);
   nlist.build(sys.box(), sys.positions(), sys.topology());
   const size_t n = static_cast<size_t>(sys.num_atoms());
 
-  std::vector<Vec3> fa(n), ft(n);
-  EnergyReport ea, et;
-  ForceWorkspace wsa, wst;
-  compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                    fa, ea, nullptr, true, &wsa, false);
-  compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
-                    ft, et, nullptr, true, &wst, true);
+  for (const double alpha : {0.35, 0.0}) {
+    SCOPED_TRACE(alpha);
+    const PairReference ref = brute_force_pairs(sys, alpha, cutoff);
+    std::vector<Vec3> ft(n);
+    EnergyReport et;
+    compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(),
+                      alpha, ft, et, nullptr, /*shift_at_cutoff=*/true);
 
-  EXPECT_NEAR(ea.lj, et.lj, 1e-9 * std::abs(ea.lj));
-  EXPECT_NEAR(ea.coulomb_real, et.coulomb_real,
-              1e-6 * std::abs(ea.coulomb_real));
-  EXPECT_NEAR(ea.virial, et.virial, 1e-6 * std::abs(ea.virial));
-  for (size_t i = 0; i < n; ++i) {
-    const double scale = std::max(1.0, std::sqrt(norm2(fa[i])));
-    EXPECT_NEAR(fa[i].x, ft[i].x, 1e-6 * scale) << "atom " << i;
-    EXPECT_NEAR(fa[i].y, ft[i].y, 1e-6 * scale) << "atom " << i;
-    EXPECT_NEAR(fa[i].z, ft[i].z, 1e-6 * scale) << "atom " << i;
+    EXPECT_NEAR(ref.e.lj, et.lj, 1e-9 * std::abs(ref.e.lj));
+    EXPECT_NEAR(ref.e.coulomb_real, et.coulomb_real,
+                1e-6 * std::abs(ref.e.coulomb_real));
+    EXPECT_NEAR(ref.e.virial, et.virial, 1e-6 * std::abs(ref.e.virial));
+    double err2 = 0, norm2_ref = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double scale = std::max(1.0, std::sqrt(norm2(ref.f[i])));
+      EXPECT_NEAR(ref.f[i].x, ft[i].x, 1e-6 * scale) << "atom " << i;
+      EXPECT_NEAR(ref.f[i].y, ft[i].y, 1e-6 * scale) << "atom " << i;
+      EXPECT_NEAR(ref.f[i].z, ft[i].z, 1e-6 * scale) << "atom " << i;
+      err2 += norm2(ft[i] - ref.f[i]);
+      norm2_ref += norm2(ref.f[i]);
+    }
+    // Measured: 4.7e-14 for both alphas.
+    EXPECT_LE(std::sqrt(err2 / norm2_ref), 1e-10);
   }
 }
 
+// NVE drift at default pair-kernel settings over 200 steps.
 TEST(ErfcTables, NveConservationWithTabulatedKernel) {
   System sys = build_water_box(125, 101);
   MdParams p;
@@ -159,7 +222,6 @@ TEST(ErfcTables, NveConservationWithTabulatedKernel) {
   p.mesh_spacing = 1.1;
   p.gse_sigma = 1.2;
   p.ewald_alpha = 0.35;
-  p.tabulate_erfc = true;
   Simulation sim(std::move(sys), p);
   sim.step(50);  // relax the synthetic lattice before measuring
   const double e0 = sim.energies().total();
