@@ -1,404 +1,23 @@
 // F7 — Long-range electrostatics kernels: GSE spread + 3D FFT + gather and
-// the direct Ewald k-space sum, new threaded pipeline vs the pre-rewrite
-// serial baseline.
+// the direct Ewald k-space sum, serial and on a 4-thread pool, on the
+// 4k-atom water box.
 //
-// The baseline is compiled into this binary (namespace `legacy` below): the
-// old complex-only Fft3D with per-call line scratch and element-at-a-time
-// strided Y/Z passes, and the old GSE spread/gather with per-call weight
-// vectors and two modulo ops per mesh point.  Pinning the baseline in code
-// keeps the comparison honest on any host — the speedup reported here mixes
-// the algorithmic wins (real-to-complex forward path, tiled transpose
-// passes, wrapped-index precompute, table caching) with thread scaling,
-// exactly what a user upgrading across this change experiences.
+// The serial combined path (longrange.serial_ms) feeds the long-range
+// floor in tools/bench_gates.py: its time in an ANTON_SIMD=scalar tree over
+// its time in the native tree.
 //
 // Set ANTON_BENCH_SMOKE=1 to shrink repetitions for CI.
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <cstdlib>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/threadpool.h"
-#include "common/units.h"
 #include "fft/fft.h"
 #include "md/ewald.h"
 #include "md/gse.h"
 #include "obs/profiler.h"
-
-namespace anton::bench {
-namespace legacy {
-
-// ---- Pre-rewrite 3D FFT: complex-only, per-call scratch, strided passes.
-
-// The old per-line plan: single twiddle table, conjugated inside the
-// butterfly loop on the inverse path.
-class FftPlan {
- public:
-  explicit FftPlan(int n) : n_(n) {
-    int log2n = 0;
-    while ((1 << log2n) < n) ++log2n;
-    twiddles_.resize(static_cast<size_t>(n / 2));
-    for (int k = 0; k < n / 2; ++k) {
-      const double theta = -2.0 * M_PI * k / n;
-      twiddles_[static_cast<size_t>(k)] = {std::cos(theta), std::sin(theta)};
-    }
-    bitrev_.resize(static_cast<size_t>(n));
-    for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
-      uint32_t r = 0;
-      for (int b = 0; b < log2n; ++b) {
-        r |= ((i >> b) & 1u) << (log2n - 1 - b);
-      }
-      bitrev_[i] = r;
-    }
-  }
-
-  void transform(std::span<Complex> data, bool inverse) const {
-    for (int i = 0; i < n_; ++i) {
-      const auto j = static_cast<int>(bitrev_[static_cast<size_t>(i)]);
-      if (i < j) {
-        std::swap(data[static_cast<size_t>(i)], data[static_cast<size_t>(j)]);
-      }
-    }
-    for (int len = 2; len <= n_; len <<= 1) {
-      const int half = len / 2;
-      const int tw_step = n_ / len;
-      for (int start = 0; start < n_; start += len) {
-        for (int k = 0; k < half; ++k) {
-          Complex w = twiddles_[static_cast<size_t>(k * tw_step)];
-          if (inverse) w = std::conj(w);
-          const size_t a = static_cast<size_t>(start + k);
-          const size_t b = a + static_cast<size_t>(half);
-          const Complex t = data[b] * w;
-          data[b] = data[a] - t;
-          data[a] += t;
-        }
-      }
-    }
-    if (inverse) {
-      const double scale = 1.0 / n_;
-      for (auto& v : data) v *= scale;
-    }
-  }
-
- private:
-  int n_;
-  std::vector<Complex> twiddles_;
-  std::vector<uint32_t> bitrev_;
-};
-
-class Fft3D {
- public:
-  Fft3D(int nx, int ny, int nz)
-      : nx_(nx), ny_(ny), nz_(nz), px_(nx), py_(ny), pz_(nz) {}
-
-  size_t num_points() const {
-    return static_cast<size_t>(nx_) * ny_ * nz_;
-  }
-  size_t index(int x, int y, int z) const {
-    return (static_cast<size_t>(z) * ny_ + y) * nx_ + x;
-  }
-
-  void transform(std::span<Complex> data, bool inverse) const {
-    for (int z = 0; z < nz_; ++z) {
-      for (int y = 0; y < ny_; ++y) {
-        px_.transform(data.subspan(index(0, y, z), static_cast<size_t>(nx_)),
-                      inverse);
-      }
-    }
-    std::vector<Complex> line(static_cast<size_t>(std::max(ny_, nz_)));
-    for (int z = 0; z < nz_; ++z) {
-      for (int x = 0; x < nx_; ++x) {
-        for (int y = 0; y < ny_; ++y) {
-          line[static_cast<size_t>(y)] = data[index(x, y, z)];
-        }
-        py_.transform({line.data(), static_cast<size_t>(ny_)}, inverse);
-        for (int y = 0; y < ny_; ++y) {
-          data[index(x, y, z)] = line[static_cast<size_t>(y)];
-        }
-      }
-    }
-    for (int y = 0; y < ny_; ++y) {
-      for (int x = 0; x < nx_; ++x) {
-        for (int z = 0; z < nz_; ++z) {
-          line[static_cast<size_t>(z)] = data[index(x, y, z)];
-        }
-        pz_.transform({line.data(), static_cast<size_t>(nz_)}, inverse);
-        for (int z = 0; z < nz_; ++z) {
-          data[index(x, y, z)] = line[static_cast<size_t>(z)];
-        }
-      }
-    }
-  }
-
- private:
-  int nx_, ny_, nz_;
-  FftPlan px_, py_, pz_;
-};
-
-// ---- Pre-rewrite GSE: serial full-spectrum tables, per-call weight
-// vectors, two modulos per spread/gather mesh point.
-
-int signed_freq(int f, int n) { return f <= n / 2 ? f : f - n; }
-
-class GseMesh {
- public:
-  GseMesh(const Box& box, double alpha, double spacing, double sigma)
-      : box_(box),
-        sigma_(sigma),
-        nx_(next_power_of_two(std::max(
-            4, static_cast<int>(std::ceil(box.lengths().x / spacing))))),
-        ny_(next_power_of_two(std::max(
-            4, static_cast<int>(std::ceil(box.lengths().y / spacing))))),
-        nz_(next_power_of_two(std::max(
-            4, static_cast<int>(std::ceil(box.lengths().z / spacing))))),
-        fft_(nx_, ny_, nz_) {
-    h_ = {box.lengths().x / nx_, box.lengths().y / ny_,
-          box.lengths().z / nz_};
-    const double support = 3.2 * sigma;
-    rx_ = std::max(1, static_cast<int>(std::ceil(support / h_.x)));
-    ry_ = std::max(1, static_cast<int>(std::ceil(support / h_.y)));
-    rz_ = std::max(1, static_cast<int>(std::ceil(support / h_.z)));
-    build_tables(alpha);
-    mesh_.assign(fft_.num_points(), Complex{});
-    rho_.assign(fft_.num_points(), 0.0);
-  }
-
-  // The old table build: one serial triple loop over the full spectrum,
-  // rerun from scratch on every box resize.
-  void build_tables(double alpha) {
-    green_.assign(fft_.num_points(), 0.0);
-    virial_factor_.assign(fft_.num_points(), 0.0);
-    const double c = units::kCoulomb * 4.0 * M_PI;
-    const Vec3 two_pi_over_l{2.0 * M_PI / box_.lengths().x,
-                             2.0 * M_PI / box_.lengths().y,
-                             2.0 * M_PI / box_.lengths().z};
-    for (int fz = 0; fz < nz_; ++fz) {
-      for (int fy = 0; fy < ny_; ++fy) {
-        for (int fx = 0; fx < nx_; ++fx) {
-          if (fx == 0 && fy == 0 && fz == 0) continue;
-          const double kx = signed_freq(fx, nx_) * two_pi_over_l.x;
-          const double ky = signed_freq(fy, ny_) * two_pi_over_l.y;
-          const double kz = signed_freq(fz, nz_) * two_pi_over_l.z;
-          const double k2 = kx * kx + ky * ky + kz * kz;
-          green_[fft_.index(fx, fy, fz)] =
-              c * std::exp(-k2 / (4.0 * alpha * alpha) +
-                           sigma_ * sigma_ * k2) /
-              k2;
-          virial_factor_[fft_.index(fx, fy, fz)] =
-              1.0 - k2 / (2.0 * alpha * alpha);
-        }
-      }
-    }
-  }
-
-  void spread(const Topology& top, std::span<const Vec3> pos) {
-    std::fill(rho_.begin(), rho_.end(), 0.0);
-    const double inv_two_sigma2 = 1.0 / (2.0 * sigma_ * sigma_);
-    const double norm3 = 1.0 / std::pow(2.0 * M_PI * sigma_ * sigma_, 1.5);
-    const auto q = top.charges();
-    std::vector<double> wx(static_cast<size_t>(2 * rx_ + 1));
-    std::vector<double> wy(static_cast<size_t>(2 * ry_ + 1));
-    std::vector<double> wz(static_cast<size_t>(2 * rz_ + 1));
-    for (size_t i = 0; i < pos.size(); ++i) {
-      if (q[i] == 0.0) continue;
-      const Vec3 p = box_.wrap(pos[i]);
-      const int cx = static_cast<int>(p.x / h_.x);
-      const int cy = static_cast<int>(p.y / h_.y);
-      const int cz = static_cast<int>(p.z / h_.z);
-      for (int d = -rx_; d <= rx_; ++d) {
-        const double dx = (cx + d) * h_.x - p.x;
-        wx[static_cast<size_t>(d + rx_)] = std::exp(-dx * dx * inv_two_sigma2);
-      }
-      for (int d = -ry_; d <= ry_; ++d) {
-        const double dy = (cy + d) * h_.y - p.y;
-        wy[static_cast<size_t>(d + ry_)] = std::exp(-dy * dy * inv_two_sigma2);
-      }
-      for (int d = -rz_; d <= rz_; ++d) {
-        const double dz = (cz + d) * h_.z - p.z;
-        wz[static_cast<size_t>(d + rz_)] = std::exp(-dz * dz * inv_two_sigma2);
-      }
-      const double qn = q[i] * norm3;
-      for (int dz = -rz_; dz <= rz_; ++dz) {
-        const int mz = (cz + dz % nz_ + nz_) % nz_;
-        const double wzq = wz[static_cast<size_t>(dz + rz_)] * qn;
-        for (int dy = -ry_; dy <= ry_; ++dy) {
-          const int my = (cy + dy % ny_ + ny_) % ny_;
-          const double wyz = wy[static_cast<size_t>(dy + ry_)] * wzq;
-          const size_t row = (static_cast<size_t>(mz) * ny_ + my) * nx_;
-          for (int dx = -rx_; dx <= rx_; ++dx) {
-            const int mx = (cx + dx % nx_ + nx_) % nx_;
-            rho_[row + static_cast<size_t>(mx)] +=
-                wx[static_cast<size_t>(dx + rx_)] * wyz;
-          }
-        }
-      }
-    }
-  }
-
-  void compute(const Topology& top, std::span<const Vec3> pos,
-               std::span<Vec3> forces, EnergyReport& energy) {
-    spread(top, pos);
-    for (size_t m = 0; m < mesh_.size(); ++m) {
-      mesh_[m] = Complex{rho_[m], 0.0};
-    }
-    fft_.transform(mesh_, /*inverse=*/false);
-    const double e_k_scale =
-        (h_.x * h_.y * h_.z) /
-        (2.0 * static_cast<double>(fft_.num_points()));
-    double w_kspace = 0.0;
-    for (size_t m = 0; m < mesh_.size(); ++m) {
-      w_kspace +=
-          e_k_scale * green_[m] * virial_factor_[m] * std::norm(mesh_[m]);
-      mesh_[m] *= green_[m];
-    }
-    energy.virial += w_kspace;
-    fft_.transform(mesh_, /*inverse=*/true);
-
-    const double vol_cell = h_.x * h_.y * h_.z;
-    double e = 0.0;
-    for (size_t m = 0; m < mesh_.size(); ++m) {
-      e += rho_[m] * mesh_[m].real();
-    }
-    energy.coulomb_kspace += 0.5 * vol_cell * e;
-
-    const double inv_two_sigma2 = 1.0 / (2.0 * sigma_ * sigma_);
-    const double norm3 = 1.0 / std::pow(2.0 * M_PI * sigma_ * sigma_, 1.5);
-    const double inv_sigma2 = 1.0 / (sigma_ * sigma_);
-    const auto q = top.charges();
-    std::vector<double> wx(static_cast<size_t>(2 * rx_ + 1));
-    std::vector<double> wy(static_cast<size_t>(2 * ry_ + 1));
-    std::vector<double> wz(static_cast<size_t>(2 * rz_ + 1));
-    std::vector<double> dxs(wx.size()), dys(wy.size()), dzs(wz.size());
-    for (size_t i = 0; i < pos.size(); ++i) {
-      if (q[i] == 0.0) continue;
-      const Vec3 p = box_.wrap(pos[i]);
-      const int cx = static_cast<int>(p.x / h_.x);
-      const int cy = static_cast<int>(p.y / h_.y);
-      const int cz = static_cast<int>(p.z / h_.z);
-      for (int d = -rx_; d <= rx_; ++d) {
-        const double dx = (cx + d) * h_.x - p.x;
-        dxs[static_cast<size_t>(d + rx_)] = dx;
-        wx[static_cast<size_t>(d + rx_)] = std::exp(-dx * dx * inv_two_sigma2);
-      }
-      for (int d = -ry_; d <= ry_; ++d) {
-        const double dy = (cy + d) * h_.y - p.y;
-        dys[static_cast<size_t>(d + ry_)] = dy;
-        wy[static_cast<size_t>(d + ry_)] = std::exp(-dy * dy * inv_two_sigma2);
-      }
-      for (int d = -rz_; d <= rz_; ++d) {
-        const double dz = (cz + d) * h_.z - p.z;
-        dzs[static_cast<size_t>(d + rz_)] = dz;
-        wz[static_cast<size_t>(d + rz_)] = std::exp(-dz * dz * inv_two_sigma2);
-      }
-      Vec3 acc{};
-      for (int dz = -rz_; dz <= rz_; ++dz) {
-        const int mz = (cz + dz % nz_ + nz_) % nz_;
-        const double wzv = wz[static_cast<size_t>(dz + rz_)];
-        for (int dy = -ry_; dy <= ry_; ++dy) {
-          const int my = (cy + dy % ny_ + ny_) % ny_;
-          const double wyz = wy[static_cast<size_t>(dy + ry_)] * wzv;
-          const size_t row = (static_cast<size_t>(mz) * ny_ + my) * nx_;
-          for (int dx = -rx_; dx <= rx_; ++dx) {
-            const int mx = (cx + dx % nx_ + nx_) % nx_;
-            const double w = wx[static_cast<size_t>(dx + rx_)] * wyz;
-            const double phi = mesh_[row + static_cast<size_t>(mx)].real();
-            acc += (phi * w) * Vec3{dxs[static_cast<size_t>(dx + rx_)],
-                                    dys[static_cast<size_t>(dy + ry_)],
-                                    dzs[static_cast<size_t>(dz + rz_)]};
-          }
-        }
-      }
-      forces[i] += (-q[i] * vol_cell * norm3 * inv_sigma2) * acc;
-    }
-  }
-
-  int nx() const { return nx_; }
-  int ny() const { return ny_; }
-  int nz() const { return nz_; }
-
- private:
-  Box box_;
-  double sigma_;
-  int nx_, ny_, nz_;
-  int rx_ = 0, ry_ = 0, rz_ = 0;
-  Vec3 h_{};
-  Fft3D fft_;
-  std::vector<double> green_, virial_factor_, rho_;
-  std::vector<Complex> mesh_;
-};
-
-// ---- Pre-rewrite direct Ewald: phase tables rebuilt (and reallocated)
-// on every call, serial k loop.
-
-void ewald_compute(const Box& box, const Topology& top,
-                   std::span<const Vec3> pos, double alpha, int nmax,
-                   std::span<Vec3> forces, EnergyReport& energy) {
-  using Cx = std::complex<double>;
-  const size_t n = pos.size();
-  const auto q = top.charges();
-  const size_t stride = n;
-  const auto fill = [&](std::vector<Cx>& out, double coord(const Vec3&),
-                        double length) {
-    out.resize(static_cast<size_t>(nmax + 1) * stride);
-    for (size_t i = 0; i < n; ++i) out[i] = Cx{1.0, 0.0};
-    for (size_t i = 0; i < n; ++i) {
-      const double theta = 2.0 * M_PI * coord(pos[i]) / length;
-      const Cx base{std::cos(theta), std::sin(theta)};
-      Cx cur = base;
-      for (int f = 1; f <= nmax; ++f) {
-        out[static_cast<size_t>(f) * stride + i] = cur;
-        cur *= base;
-      }
-    }
-  };
-  std::vector<Cx> px, py, pz;
-  fill(px, [](const Vec3& p) -> double { return p.x; }, box.lengths().x);
-  fill(py, [](const Vec3& p) -> double { return p.y; }, box.lengths().y);
-  fill(pz, [](const Vec3& p) -> double { return p.z; }, box.lengths().z);
-  const auto phase = [&](int fx, int fy, int fz, size_t i) {
-    const Cx vx = fx >= 0 ? px[static_cast<size_t>(fx) * stride + i]
-                          : std::conj(px[static_cast<size_t>(-fx) * stride + i]);
-    const Cx vy = fy >= 0 ? py[static_cast<size_t>(fy) * stride + i]
-                          : std::conj(py[static_cast<size_t>(-fy) * stride + i]);
-    const Cx vz = fz >= 0 ? pz[static_cast<size_t>(fz) * stride + i]
-                          : std::conj(pz[static_cast<size_t>(-fz) * stride + i]);
-    return vx * vy * vz;
-  };
-
-  const double pref = units::kCoulomb * 2.0 * M_PI / box.volume();
-  const Vec3 two_pi_over_l{2.0 * M_PI / box.lengths().x,
-                           2.0 * M_PI / box.lengths().y,
-                           2.0 * M_PI / box.lengths().z};
-  double e_total = 0.0, w_total = 0.0;
-  for (int fx = 0; fx <= nmax; ++fx) {
-    for (int fy = (fx == 0) ? 0 : -nmax; fy <= nmax; ++fy) {
-      for (int fz = (fx == 0 && fy == 0) ? 1 : -nmax; fz <= nmax; ++fz) {
-        const Vec3 k{fx * two_pi_over_l.x, fy * two_pi_over_l.y,
-                     fz * two_pi_over_l.z};
-        const double k2 = norm2(k);
-        const double a = std::exp(-k2 / (4.0 * alpha * alpha)) / k2;
-        Cx s{0, 0};
-        for (size_t i = 0; i < n; ++i) s += q[i] * phase(fx, fy, fz, i);
-        const double e_k = 2.0 * a * std::norm(s);
-        e_total += e_k;
-        w_total += e_k * (1.0 - k2 / (2.0 * alpha * alpha));
-        const Cx s_conj = std::conj(s);
-        for (size_t i = 0; i < n; ++i) {
-          const double im = (s_conj * phase(fx, fy, fz, i)).imag();
-          forces[i] += (2.0 * pref * 2.0 * a * q[i] * im) * k;
-        }
-      }
-    }
-  }
-  energy.coulomb_kspace += pref * e_total;
-  energy.virial += pref * w_total;
-}
-
-}  // namespace legacy
-
-// Timing statistic: bench::time_min_ms (bench_util.h), shared with f6/f8.
-}  // namespace anton::bench
 
 int main() {
   using namespace anton;
@@ -417,143 +36,97 @@ int main() {
   BenchReport report("f7");
   report.record("atoms", static_cast<double>(sys.num_atoms()));
 
-  legacy::GseMesh old_gse(sys.box(), alpha, spacing, sigma);
-  GseMesh new_gse_serial(sys.box(), alpha, spacing, sigma);
+  GseMesh gse_serial(sys.box(), alpha, spacing, sigma);
   ThreadPool pool(4);
-  GseMesh new_gse_t4(sys.box(), alpha, spacing, sigma, &pool);
-  report.record("mesh.nx", old_gse.nx());
-  report.record("mesh.ny", old_gse.ny());
-  report.record("mesh.nz", old_gse.nz());
+  GseMesh gse_t4(sys.box(), alpha, spacing, sigma, &pool);
+  report.record("mesh.nx", gse_serial.nx());
+  report.record("mesh.ny", gse_serial.ny());
+  report.record("mesh.nz", gse_serial.nz());
 
   std::vector<Vec3> f(static_cast<size_t>(sys.num_atoms()));
   EnergyReport e;
-  const auto run = [&](auto& gse) {
+  const auto run = [&](auto& kernel) {
     std::fill(f.begin(), f.end(), Vec3{});
     e = EnergyReport{};
-    gse.compute(sys.topology(), sys.positions(), f, e);
+    kernel.compute(sys.topology(), sys.positions(), f, e);
+  };
+  const auto add_rows = [](TextTable& t, double serial_ms, double t4_ms) {
+    t.add_row({"serial", TextTable::fmt(serial_ms, 2), "1.00"});
+    t.add_row({"4 threads", TextTable::fmt(t4_ms, 2),
+               TextTable::fmt(serial_ms / t4_ms, 2)});
   };
 
   // Warm everything (plans, workspaces, per-thread scratch) before timing.
-  run(old_gse);
-  run(new_gse_serial);
-  run(new_gse_t4);
+  run(gse_serial);
+  run(gse_t4);
 
   {
     std::cout << "\n-- combined spread + 3D FFT + k-multiply + gather --\n";
-    const double legacy_ms = time_min_ms(reps, iters, [&] { run(old_gse); });
-    const double serial_ms =
-        time_min_ms(reps, iters, [&] { run(new_gse_serial); });
-    const double t4_ms = time_min_ms(reps, iters, [&] { run(new_gse_t4); });
-    report.record("longrange.legacy_ms", legacy_ms);
-    report.record("longrange.new_serial_ms", serial_ms);
-    report.record("longrange.new_t4_ms", t4_ms);
-    report.record("longrange.speedup_serial", legacy_ms / serial_ms);
-    report.record("longrange.speedup_t4", legacy_ms / t4_ms);
-    TextTable t({"variant", "ms/step", "speedup"});
-    t.add_row({"legacy serial", TextTable::fmt(legacy_ms, 2), "1.00"});
-    t.add_row({"new serial", TextTable::fmt(serial_ms, 2),
-               TextTable::fmt(legacy_ms / serial_ms, 2)});
-    t.add_row({"new 4 threads", TextTable::fmt(t4_ms, 2),
-               TextTable::fmt(legacy_ms / t4_ms, 2)});
+    const double serial_ms = time_min_ms(reps, iters, [&] { run(gse_serial); });
+    const double t4_ms = time_min_ms(reps, iters, [&] { run(gse_t4); });
+    report.record("longrange.serial_ms", serial_ms);
+    report.record("longrange.t4_ms", t4_ms);
+    TextTable t({"variant", "ms/step", "vs serial"});
+    add_rows(t, serial_ms, t4_ms);
     t.print(std::cout);
   }
 
   {
-    std::cout << "\n-- 3D FFT round trip on the charge mesh --\n";
-    legacy::Fft3D old_fft(old_gse.nx(), old_gse.ny(), old_gse.nz());
-    Fft3D new_fft(old_gse.nx(), old_gse.ny(), old_gse.nz(), &pool);
-    std::vector<double> grid(old_fft.num_points());
+    std::cout << "\n-- r2c 3D FFT round trip on the charge mesh --\n";
+    Fft3D fft(gse_serial.nx(), gse_serial.ny(), gse_serial.nz(), &pool);
+    std::vector<double> grid(fft.num_points());
     for (size_t i = 0; i < grid.size(); ++i) {
       grid[i] = std::sin(0.37 * static_cast<double>(i));
     }
-    std::vector<Complex> cmesh(old_fft.num_points());
-    std::vector<Complex> hmesh(new_fft.half_points());
+    std::vector<Complex> hmesh(fft.half_points());
     std::vector<double> out(grid.size());
-    const double legacy_ms = time_min_ms(reps, iters, [&] {
-      for (size_t m = 0; m < cmesh.size(); ++m) {
-        cmesh[m] = Complex{grid[m], 0.0};
-      }
-      old_fft.transform(cmesh, false);
-      old_fft.transform(cmesh, true);
+    const double t4_ms = time_min_ms(reps, iters, [&] {
+      fft.forward_real(grid, hmesh);
+      fft.inverse_real(hmesh, out);
     });
-    const double new_ms = time_min_ms(reps, iters, [&] {
-      new_fft.forward_real(grid, hmesh);
-      new_fft.inverse_real(hmesh, out);
-    });
-    report.record("fft.legacy_ms", legacy_ms);
-    report.record("fft.new_t4_ms", new_ms);
-    report.record("fft.speedup_t4", legacy_ms / new_ms);
-    TextTable t({"variant", "ms/round-trip", "speedup"});
-    t.add_row({"legacy complex", TextTable::fmt(legacy_ms, 2), "1.00"});
-    t.add_row({"new r2c, 4 threads", TextTable::fmt(new_ms, 2),
-               TextTable::fmt(legacy_ms / new_ms, 2)});
+    report.record("fft.t4_ms", t4_ms);
+    TextTable t({"variant", "ms/round-trip"});
+    t.add_row({"4 threads", TextTable::fmt(t4_ms, 2)});
     t.print(std::cout);
   }
 
   {
     std::cout << "\n-- Green's-function table rebuild (barostat resize) --\n";
-    const Box grown(1.002 * sys.box().lengths());
-    const double legacy_ms = time_min_ms(reps, 1, [&] {
-      old_gse.build_tables(alpha);
-    });
     // Alternate between two boxes with identical mesh dimensions so every
     // set_box call changes the lengths and takes the rebuild-in-place path
     // (the mesh currently sits at sys.box(), so start with the grown cell).
+    const Box grown(1.002 * sys.box().lengths());
     bool flip = true;
-    const double new_ms = time_min_ms(reps, 1, [&] {
-      new_gse_t4.set_box(flip ? grown : sys.box());
+    const double t4_ms = time_min_ms(reps, 1, [&] {
+      gse_t4.set_box(flip ? grown : sys.box());
       flip = !flip;
     });
-    new_gse_t4.set_box(sys.box());
-    report.record("tables.legacy_ms", legacy_ms);
-    report.record("tables.new_t4_ms", new_ms);
-    report.record("tables.speedup_t4", legacy_ms / new_ms);
-    TextTable t({"variant", "ms/rebuild", "speedup"});
-    t.add_row({"legacy full-spectrum serial", TextTable::fmt(legacy_ms, 2),
-               "1.00"});
-    t.add_row({"new half-spectrum, 4 threads", TextTable::fmt(new_ms, 2),
-               TextTable::fmt(legacy_ms / new_ms, 2)});
+    gse_t4.set_box(sys.box());
+    report.record("tables.t4_ms", t4_ms);
+    TextTable t({"variant", "ms/rebuild"});
+    t.add_row({"half-spectrum, 4 threads", TextTable::fmt(t4_ms, 2)});
     t.print(std::cout);
   }
 
   {
     std::cout << "\n-- direct Ewald k-space (nmax = 6) --\n";
     const int nmax = 6;
-    EwaldDirect new_serial(sys.box(), alpha, nmax);
-    EwaldDirect new_t4(sys.box(), alpha, nmax, &pool);
-    const auto run_ewald = [&](EwaldDirect& ew) {
-      std::fill(f.begin(), f.end(), Vec3{});
-      e = EnergyReport{};
-      ew.compute(sys.topology(), sys.positions(), f, e);
-    };
-    run_ewald(new_serial);  // warm tables
-    run_ewald(new_t4);
+    EwaldDirect ewald_serial(sys.box(), alpha, nmax);
+    EwaldDirect ewald_t4(sys.box(), alpha, nmax, &pool);
+    run(ewald_serial);  // warm tables
+    run(ewald_t4);
     const int ew_reps = smoke ? 1 : 3;
-    const double legacy_ms = time_min_ms(ew_reps, 1, [&] {
-      std::fill(f.begin(), f.end(), Vec3{});
-      e = EnergyReport{};
-      legacy::ewald_compute(sys.box(), sys.topology(), sys.positions(), alpha,
-                            nmax, f, e);
-    });
     const double serial_ms =
-        time_min_ms(ew_reps, 1, [&] { run_ewald(new_serial); });
-    const double t4_ms = time_min_ms(ew_reps, 1, [&] { run_ewald(new_t4); });
-    report.record("ewald.legacy_ms", legacy_ms);
-    report.record("ewald.new_serial_ms", serial_ms);
-    report.record("ewald.new_t4_ms", t4_ms);
-    report.record("ewald.speedup_serial", legacy_ms / serial_ms);
-    report.record("ewald.speedup_t4", legacy_ms / t4_ms);
-    TextTable t({"variant", "ms/eval", "speedup"});
-    t.add_row({"legacy (tables rebuilt per call)", TextTable::fmt(legacy_ms, 2),
-               "1.00"});
-    t.add_row({"new serial", TextTable::fmt(serial_ms, 2),
-               TextTable::fmt(legacy_ms / serial_ms, 2)});
-    t.add_row({"new 4 threads", TextTable::fmt(t4_ms, 2),
-               TextTable::fmt(legacy_ms / t4_ms, 2)});
+        time_min_ms(ew_reps, 1, [&] { run(ewald_serial); });
+    const double t4_ms = time_min_ms(ew_reps, 1, [&] { run(ewald_t4); });
+    report.record("ewald.serial_ms", serial_ms);
+    report.record("ewald.t4_ms", t4_ms);
+    TextTable t({"variant", "ms/eval", "vs serial"});
+    add_rows(t, serial_ms, t4_ms);
     t.print(std::cout);
   }
 
-  std::cout << "\nThe combined-path speedup is the headline number: it is "
-               "what the RESPA outer\nstep pays every long-range evaluation.\n";
+  std::cout << "\nThe combined path is the headline number: it is what the "
+               "RESPA outer step\npays every long-range evaluation.\n";
   return 0;
 }

@@ -32,8 +32,8 @@ inline void print_header(const std::string& experiment_id,
 
 // Minimum over `reps` timed repetitions of `iters` calls each, in
 // milliseconds per call — the stable statistic on hosts with bursty
-// background load.  Shared by every baseline-gated comparison (f6/f7/f8) so
-// the gated speedups are measured the same way everywhere.
+// background load.  Shared by f7 and f8 so their timings are measured the
+// same way.
 template <typename Fn>
 double time_min_ms(int reps, int iters, Fn&& fn) {
   double best = 1e300;

@@ -136,85 +136,15 @@ print(f\"service smoke OK: {int(hits)}/160 hits, \"
       f\"p99 {m['svc.latency_ms']['p99']:.2f} ms\")
 "
 
-step "bench smoke (BENCH_f6.json ... BENCH_f9.json)"
+# The SIMD floors divide the scalar tree's kernel times by the native
+# tree's, so both trees run the smoke benches (one after the other, never
+# concurrently).
+step "bench smoke (BENCH_f6.json ... BENCH_f9.json in build/ and build-scalar/)"
 cmake --build build --target bench-smoke -j"$JOBS"
-python3 - <<'EOF'
-import json
-doc = json.load(open('build/BENCH_f6.json'))
-best, fastest, avx2 = {}, {}, 0
-for b in doc['benchmarks']:
-    if b.get('run_type') == 'aggregate':
-        continue
-    name = b['name'].split('/')[0]
-    if b['real_time'] < best.get(name, float('inf')):
-        best[name], fastest[name] = b['real_time'], b
-    avx2 = max(avx2, int(b.get('simd_avx2', 0)))
-# Rate counters must be per-iteration counts over per-iteration time, not a
-# per-iteration count over the whole run's time.
-simd = fastest['BM_PairKernelSimd']
-assert simd['time_unit'] == 'ms', simd['time_unit']
-expect = simd['pairs'] / (simd['real_time'] * 1e-3)
-ratio = simd['pairs/s'] / expect
-print(f"pair-kernel rate: {simd['pairs/s'] / 1e6:.1f} M pairs/s "
-      f"(pairs / real_time = {expect / 1e6:.1f} M/s)")
-assert abs(ratio - 1.0) <= 0.05, \
-    f'pairs/s is {ratio:.3f}x pairs / real_time: rate counter miscounts'
-if avx2:
-    pk = best['BM_PairKernelScalar'] / best['BM_PairKernelSimd']
-    te = best['BM_TableEvalScalar'] / best['BM_TableEvalSimd']
-    print(f'pair-kernel simd speedup: {pk:.2f}x  table-eval: {te:.2f}x')
-    assert pk >= 2.0, f'pair-kernel simd speedup regressed: {pk:.2f}x < 2x'
-    assert te >= 2.0, f'table-eval simd speedup regressed: {te:.2f}x < 2x'
-else:
-    print('scalar SIMD backend: speedup gates not applicable, skipped')
-EOF
-python3 -c "
-import json
-doc = json.load(open('build/BENCH_f7.json'))
-assert doc.get('schema') == 'anton.metrics.v1', doc.get('schema')
-speedup = doc['metrics']['f7.longrange.speedup_t4']['value']
-print(f'long-range combined speedup at 4 threads: {speedup:.2f}x')
-assert speedup >= 2.0, f'long-range speedup regressed: {speedup:.2f}x < 2x'
-"
-python3 -c "
-import json
-doc = json.load(open('build/BENCH_f8.json'))
-assert doc.get('schema') == 'anton.metrics.v1', doc.get('schema')
-m = doc['metrics']
-speedup = m['f8.queue.speedup']['value']
-print(f'event-queue speedup over legacy kernel: {speedup:.2f}x')
-assert speedup >= 2.0, f'event-queue speedup regressed: {speedup:.2f}x < 2x'
-assert m['f8.sweep.match']['value'] == 1, 'threaded sweep diverged from serial'
-"
-python3 -c "
-import json
-doc = json.load(open('build/BENCH_f9.json'))
-assert doc.get('schema') == 'anton.metrics.v1', doc.get('schema')
-m = doc['metrics']
-speedup = m['f9.speedup']['value']
-print(f'estimator service speedup over uncached-serial: {speedup:.2f}x')
-assert speedup >= 5.0, f'service throughput regressed: {speedup:.2f}x < 5x'
-assert m['f9.verify.match']['value'] == 1, 'cache hit diverged from recompute'
-assert m['f9.shed']['value'] == 0, 'service shed during the throughput run'
-"
+cmake --build build-scalar --target bench-smoke -j"$JOBS"
 
-step "bench regression gate (tools/bench_compare.py)"
-# Fresh results vs committed baselines: advisory here because absolute times
-# vary host-to-host (the hard floors above are the portable gates), but the
-# full report lands in the log and one summary line per file in the history.
-for f in f6 f7 f8 f9; do
-  python3 tools/bench_compare.py "bench/BENCH_$f.json" "build/BENCH_$f.json" \
-    --advisory --append-history "build/bench_history.jsonl"
-done
-# The gate itself must still have teeth: identical inputs pass, the seeded
-# half-speedup/2x-slower fixture fails.  Mirrors the lint-fixtures pattern.
-python3 tools/bench_compare.py bench/BENCH_f7.json bench/BENCH_f7.json -q
-if python3 tools/bench_compare.py bench/BENCH_f7.json \
-     tools/bench_fixtures/BENCH_f7_regressed.json -q >/dev/null 2>&1; then
-  echo "error: regressed fixture passed — bench_compare.py has rotted" >&2
-  exit 1
-fi
-echo "bench_compare fixture correctly rejected"
+step "bench gates (tools/bench_gates.py)"
+python3 tools/bench_gates.py build build-scalar
 
 # Sanitizer trees use the scalar SIMD backend: instrumentation composes
 # poorly with wide intrinsics (ASan shadow checks on 32-byte lanes), and the
