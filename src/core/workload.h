@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "arch/config.h"
@@ -32,8 +32,11 @@ struct BondedCounts {
 struct Tile {
   int offset_index;
   int64_t pairs;
-  // Distinct remote atoms touched by this tile — sizes the force-return
-  // message back to the neighbour.
+  // Remote atoms touched by this tile — sizes the force-return message back
+  // to the neighbour.  Counted with a per-atom last-touch stamp, so an atom
+  // the pair walk reaches again after another tile touched it is counted
+  // again: the count exceeds the distinct count and depends on the walk's
+  // pair order (see DESIGN.md, "Model notes").
   int64_t remote_atoms;
 };
 
