@@ -8,6 +8,8 @@
 //     *and* the machine-clock performance for it.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -40,6 +42,13 @@ struct PerfReport {
   }
   double ns_per_day() const { return us_per_day() * 1e3; }
 };
+
+// FNV-1a over a byte-exact serialisation of a report: every double by its
+// IEEE bits, every phase map entry by key and value in key order, and every
+// NoC counter.  Bitwise-equal reports have equal digests; any change to the
+// workload, the DES, the torus model or the per-phase accumulation order
+// moves it.
+uint64_t report_digest(const PerfReport& r);
 
 // Picks a near-cubic torus (nx, ny, nz) with nx*ny*nz == nodes.
 void torus_dims(int nodes, int* nx, int* ny, int* nz);
