@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "chem/builder.h"
 #include "md/engine.h"
@@ -233,6 +235,84 @@ TEST(Engine, NveConservationThreadedDeterministic) {
   const double ke = sim.system().kinetic_energy();
   EXPECT_LT(std::abs(e1 - e0), 0.01 * ke)
       << "E0=" << e0 << " E1=" << e1 << " KE=" << ke;
+}
+
+// Golden trajectory digests: standard FNV-1a over the IEEE bits of every
+// position and velocity component after 50 NVE steps, then the last step's
+// SHAKE statistics (iterations, max_violation bits, converged).  Cases: a
+// pure-water box and a minimised solvated system with solute constraints,
+// each in fast and deterministic force mode, serial and on a 4-thread pool.
+// Neighbour-list and constraint rewrites must leave every constant as is.
+TEST(Engine, GoldenTrajectoryDigests) {
+  struct Fnv1a {
+    uint64_t h = 14695981039346656037ULL;
+    void add(uint64_t v) {
+      for (int k = 0; k < 8; ++k) {
+        h ^= (v >> (8 * k)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    void add(double v) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      add(bits);
+    }
+  };
+  const System water = build_water_box(729, 11);
+  System solvated = [] {
+    BuilderOptions o;
+    o.total_atoms = 3000;
+    o.seed = 105;
+    System sys = build_solvated_system(o);
+    minimize_energy(sys, fast_params(), 100);
+    sys.assign_velocities(300.0, o.seed);
+    return sys;
+  }();
+  const struct {
+    const char* name;
+    const System* sys;
+    bool deterministic;
+    unsigned threads;
+    uint64_t digest;
+  } cases[] = {
+      {"water", &water, false, 1, 0x4a20e981efdab3b6ULL},
+      {"water", &water, false, 4, 0xea6b9400111644d7ULL},
+      {"water", &water, true, 1, 0x64710f5509741927ULL},
+      {"water", &water, true, 4, 0x64710f5509741927ULL},
+      {"solvated", &solvated, false, 1, 0x7dbb72c05365f866ULL},
+      {"solvated", &solvated, false, 4, 0x5da8a2d1df0b0e1aULL},
+      {"solvated", &solvated, true, 1, 0x08a1ae5f9a170a43ULL},
+      {"solvated", &solvated, true, 4, 0x08a1ae5f9a170a43ULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SCOPED_TRACE(c.deterministic ? "deterministic" : "fast");
+    SCOPED_TRACE(c.threads);
+    MdParams p = fast_params();
+    p.deterministic_forces = c.deterministic;
+    ThreadPool pool(c.threads);
+    Simulation sim(*c.sys, p, c.threads > 1 ? &pool : nullptr);
+    sim.step(50);
+    Fnv1a d;
+    for (const Vec3& x : sim.system().positions()) {
+      d.add(x.x);
+      d.add(x.y);
+      d.add(x.z);
+    }
+    for (const Vec3& v : sim.system().velocities()) {
+      d.add(v.x);
+      d.add(v.y);
+      d.add(v.z);
+    }
+    const ShakeStats s = sim.last_shake();
+    d.add(static_cast<uint64_t>(s.iterations));
+    d.add(s.max_violation);
+    d.add(static_cast<uint64_t>(s.converged));
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                  static_cast<unsigned long long>(d.h));
+    EXPECT_EQ(d.h, c.digest) << "digest is now " << hex;
+  }
 }
 
 }  // namespace

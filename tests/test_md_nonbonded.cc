@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 
 #include "chem/builder.h"
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "common/units.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
@@ -85,6 +87,61 @@ TEST(NeighborList, RejectsListRadiusBeyondMinImage) {
   NeighborList nlist(100.0, 1.0);
   EXPECT_THROW(nlist.build(sys.box(), sys.positions(), sys.topology()),
                Error);
+}
+
+// Standard FNV-1a over the little-endian bytes of each value added.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ULL;
+  void add(uint64_t v, int bytes) {
+    for (int k = 0; k < bytes; ++k) {
+      h ^= (v >> (8 * k)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// Golden CSR digests: FNV-1a over every starts() offset (8 bytes each) and
+// then every row entry (4 bytes each), serial and on a 4-thread pool.  The
+// neighbour list feeds every force loop, so a rebuild of the list must give
+// exactly these layouts; a change that means to move them must re-record
+// the constants (the failure message prints the new digest) and say why.
+TEST(NeighborList, GoldenCsrDigests) {
+  const System water = build_water_box(729, 11);
+  const System dhfr = build_benchmark_system(dhfr_spec(), 1);
+  // Fewer than 3 cells of the 9 A list radius per axis: the O(N^2) path.
+  const System tiny = build_water_box(343, 21, -1);
+  ASSERT_LT(tiny.box().lengths().x, 3 * 9.0);
+  const struct {
+    const char* name;
+    const System* sys;
+    double cutoff, skin;
+    uint64_t digest;
+  } cases[] = {
+      {"water2k 6.5/0.7", &water, 6.5, 0.7, 0x72160a0fddd61326ULL},
+      {"dhfr seed 1 9/1", &dhfr, 9.0, 1.0, 0x7274444cc972d91fULL},
+      {"tiny grid 8/1", &tiny, 8.0, 1.0, 0xae0aa55ce10cb8f3ULL},
+  };
+  ThreadPool pool(4);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(p == nullptr ? "serial" : "4 threads");
+      NeighborList nlist(c.cutoff, c.skin);
+      nlist.build(c.sys->box(), c.sys->positions(), c.sys->topology(), p);
+      Fnv1a d;
+      for (int64_t s : nlist.starts()) d.add(static_cast<uint64_t>(s), 8);
+      for (int i = 0; i < nlist.num_atoms(); ++i) {
+        for (int j : nlist.neighbors_of(i)) {
+          d.add(static_cast<uint32_t>(j), 4);
+        }
+      }
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                    static_cast<unsigned long long>(d.h));
+      EXPECT_EQ(d.h, c.digest) << "digest is now " << hex << " ("
+                               << nlist.num_pairs() << " pairs)";
+    }
+  }
 }
 
 TEST(Nonbonded, LjMinimumEnergyAndLocation) {
