@@ -111,13 +111,17 @@ ctest --test-dir build --output-on-failure -j"$JOBS" \
 # The estimator service's concurrency claims (exactly-once evaluation,
 # coalescing, bounded queue, drain-on-shutdown) are only as good as their
 # TSan run, so the svc suite gets a targeted thread-sanitizer pass even
-# though full-tree TSan stays opt-in via ANTON_CHECK_SANITIZERS.
-step "estimator-service TSan pass (build-thread/, svc tests only)"
+# though full-tree TSan stays opt-in via ANTON_CHECK_SANITIZERS.  The MD
+# engine's pooled neighbour-list build and constraint sweeps hand blocks
+# and clusters to threads dynamically, so their suites ride along.
+step "targeted TSan pass (build-thread/, svc + threaded MD tests)"
 cmake -B build-thread -S . -DANTON_SANITIZE=thread -DANTON_SIMD=scalar \
       >/dev/null
-cmake --build build-thread --target test_svc -j"$JOBS"
+cmake --build build-thread \
+  --target test_svc test_md_threaded test_md_constraints -j"$JOBS"
 ctest --test-dir build-thread --output-on-failure -j"$JOBS" \
-  -L sanitize-thread -R 'EstimatorService|ResultCache|CacheKey'
+  -L sanitize-thread \
+  -R 'EstimatorService|ResultCache|CacheKey|Threaded\.|Shake\.|Rattle\.|Constraints\.'
 
 step "service load smoke (estimator daemon end-to-end)"
 ./build/examples/sweep_service atoms=3000 queries=160 clients=8 \

@@ -70,29 +70,4 @@ std::vector<int> CellGrid::half_stencil(int cell) const {
   return out;
 }
 
-int CellGrid::half_stencil_shifts(int cell, int* cells, Vec3* shifts) const {
-  int cx, cy, cz;
-  coords(cell, &cx, &cy, &cz);
-  const Vec3& l = box_.lengths();
-  int count = 0;
-  for (int dz = -1; dz <= 1; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const bool keep =
-            dz > 0 || (dz == 0 && dy > 0) || (dz == 0 && dy == 0 && dx >= 0);
-        if (!keep) continue;
-        int x = cx + dx, y = cy + dy, z = cz + dz;
-        Vec3 s{};
-        if (x < 0) { x += nx_; s.x = -l.x; } else if (x >= nx_) { x -= nx_; s.x = l.x; }
-        if (y < 0) { y += ny_; s.y = -l.y; } else if (y >= ny_) { y -= ny_; s.y = l.y; }
-        if (z < 0) { z += nz_; s.z = -l.z; } else if (z >= nz_) { z -= nz_; s.z = l.z; }
-        cells[count] = index(x, y, z);
-        shifts[count] = s;
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
 }  // namespace anton

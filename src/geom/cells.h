@@ -89,16 +89,6 @@ class CellGrid {
   // neighbours.  Aliasing on small grids is removed.
   std::vector<int> half_stencil(int cell) const;
 
-  // Non-allocating half stencil that also reports the periodic image shift
-  // of each neighbour cell: for atom a in `cell` (wrapped position wa) and
-  // atom b in neighbour entry k (wrapped position wb), the cell-image
-  // displacement is wa - wb - shifts[k], which equals the minimum-image
-  // displacement for any pair within the cell side length.  Writes up to 14
-  // entries into cells/shifts and returns the count.  Precondition: at least
-  // 3 cells along every axis (no stencil aliasing) — callers fall back to
-  // O(N²) otherwise.
-  int half_stencil_shifts(int cell, int* cells, Vec3* shifts) const;
-
  private:
   Box box_;
   int nx_, ny_, nz_;

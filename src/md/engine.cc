@@ -16,6 +16,7 @@ Simulation::Simulation(System system, MdParams params, ThreadPool* pool)
       force_(std::make_unique<ForceCompute>(system_.topology_ptr(),
                                             system_.box(), params, pool)),
       pool_(pool),
+      constraints_(system_.topology()),
       f_short_(static_cast<size_t>(system_.num_atoms())),
       f_long_(static_cast<size_t>(system_.num_atoms())),
       ref_pos_(static_cast<size_t>(system_.num_atoms())),
@@ -169,8 +170,9 @@ void Simulation::single_step() {
   }
   {
     obs::PhaseProfiler::Scope sc(&profiler_, "constraints");
-    last_shake_ = shake(box, top, ref_pos_, pos, vel, dt_, params_.shake_tol,
-                        params_.shake_max_iter);
+    last_shake_ = constraints_.shake(box, ref_pos_, pos, vel, dt_,
+                                     params_.shake_tol, params_.shake_max_iter,
+                                     pool_);
   }
   ANTON_CHECK_MSG(last_shake_.converged,
                   "SHAKE failed to converge (max violation "
@@ -211,8 +213,8 @@ void Simulation::single_step() {
   ShakeStats rs;
   {
     obs::PhaseProfiler::Scope sc(&profiler_, "constraints");
-    rs = rattle(box, top, pos, vel, params_.shake_tol,
-                params_.shake_max_iter);
+    rs = constraints_.rattle(box, pos, vel, params_.shake_tol,
+                             params_.shake_max_iter, pool_);
   }
   ANTON_CHECK_MSG(rs.converged, "RATTLE failed to converge");
 

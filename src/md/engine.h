@@ -76,6 +76,7 @@ class Simulation {
   // rescale (the GSE mesh and neighbour grid are box-dependent).
   std::unique_ptr<ForceCompute> force_;
   ThreadPool* pool_;
+  ConstraintClusters constraints_;
   std::vector<Vec3> f_short_;
   std::vector<Vec3> f_long_;
   std::vector<Vec3> ref_pos_;  // pre-step positions for SHAKE

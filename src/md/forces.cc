@@ -64,8 +64,12 @@ void ForceCompute::set_box(const Box& box) {
 }
 
 void ForceCompute::maybe_rebuild(std::span<const Vec3> pos) {
-  if (!nlist_.built() || nlist_stale_ ||
-      nlist_.needs_rebuild(box_, pos, pool_)) {
+  bool rebuild = !nlist_.built() || nlist_stale_;
+  if (!rebuild) {
+    obs::PhaseProfiler::Scope sc(prof_, "nlist_check");
+    rebuild = nlist_.needs_rebuild(box_, pos, pool_);
+  }
+  if (rebuild) {
     obs::PhaseProfiler::Scope sc(prof_, "nlist");
     nlist_.build(box_, pos, *top_, pool_);
     ++nlist_builds_;

@@ -20,6 +20,7 @@ MinimizeResult minimize_energy(System& system, const MdParams& params,
   MdParams p = params;
   p.long_range = LongRangeMethod::kNone;
   ForceCompute force(system.topology_ptr(), system.box(), p, pool);
+  ConstraintClusters constraints(system.topology());
 
   const int n = system.num_atoms();
   std::vector<Vec3> f(static_cast<size_t>(n));
@@ -43,8 +44,8 @@ MinimizeResult minimize_energy(System& system, const MdParams& params,
     for (int i = 0; i < n; ++i) {
       pos[static_cast<size_t>(i)] += scale * f[static_cast<size_t>(i)];
     }
-    shake(system.box(), system.topology(), ref, pos, {}, 0.0,
-          params.shake_tol, params.shake_max_iter);
+    constraints.shake(system.box(), ref, pos, {}, 0.0, params.shake_tol,
+                      params.shake_max_iter, pool);
 
     e = force.compute_short(pos, f);
     const double energy = e.potential();

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/error.h"
+#include "common/simd.h"
 #include "geom/cells.h"
 
 namespace anton {
@@ -11,6 +13,57 @@ namespace anton {
 namespace {
 // Below this, threading a build or a rebuild check costs more than it saves.
 constexpr size_t kSerialThreshold = 2048;
+// Gather/scatter blocks per pool thread: enough to even out uneven blocks
+// and a noisy host by dynamic assignment, few enough that the per-block row
+// counts stay small.
+constexpr int kBlocksPerThread = 4;
+
+// Runs fn(b) for every block b in [0, nblocks), handing blocks to whichever
+// pool thread is free next.  Results never depend on the assignment.
+template <class F>
+void for_each_block(ThreadPool* pool, int nblocks, F&& fn) {
+  if (pool == nullptr || nblocks <= 1) {
+    for (int b = 0; b < nblocks; ++b) fn(b);
+    return;
+  }
+  std::atomic<int> next{0};
+  pool->for_each_thread([&](unsigned) {
+    for (int b = next.fetch_add(1, std::memory_order_relaxed); b < nblocks;
+         b = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(b);
+    }
+  });
+}
+
+// The neighbour cell coordinate one step d along an axis of n cells, and
+// the image shift that step crosses (the half-shell walk's shifts).
+struct Step {
+  int cell;
+  double shift;
+};
+Step step(int c, int d, int n, double len) {
+  const int x = c + d;
+  if (x < 0) return {x + n, -len};
+  if (x >= n) return {x - n, len};
+  return {x, 0.0};
+}
+
+// True when every image position w + shift, w in the box [lo, hi], is
+// certainly farther than the list radius from p.  The margin (1e-9 of the
+// box length per axis) dwarfs the few-ulp error of this arithmetic and of
+// the gather's distance test, so a cell skipped here holds no pair the test
+// would accept.
+bool beyond(const Vec3& lo, const Vec3& hi, const Vec3& p, const Vec3& shift,
+            const Vec3& len, double rl2) {
+  double gap2 = 0;
+  for (int axis = 0; axis < 3; ++axis) {
+    const double gap = std::max(lo[axis] + shift[axis] - p[axis],
+                                p[axis] - (hi[axis] + shift[axis])) -
+                       1e-9 * len[axis];
+    if (gap > 0) gap2 += gap * gap;
+  }
+  return gap2 > rl2;
+}
 }  // namespace
 
 NeighborList::NeighborList(double cutoff, double skin)
@@ -20,85 +73,247 @@ NeighborList::NeighborList(double cutoff, double skin)
 
 NeighborList::~NeighborList() = default;
 
-// Enumerates candidate pairs for cells [cell_begin, cell_end) into `shard`.
-// Distances use the cell-image displacement wa - wb - shift, which avoids
-// the per-candidate divisions of Box::min_image and is exact for every pair
-// inside the list radius (see CellGrid::half_stencil_shifts).
-void NeighborList::collect_cells(const CellGrid& grid, const Topology& top,
-                                 double rl2, int cell_begin, int cell_end,
-                                 BuildShard& shard) const {
-  ANTON_HOT_NOALLOC();
-  int sten_cells[14];
-  Vec3 sten_shifts[14];
-  const Vec3* wp = wrapped_.data();
-  for (int c = cell_begin; c < cell_end; ++c) {
-    const auto atoms_c = grid.cell_atoms(c);
-    if (atoms_c.empty()) continue;
-    const int ns = grid.half_stencil_shifts(c, sten_cells, sten_shifts);
-    for (int k = 0; k < ns; ++k) {
-      const int nc = sten_cells[k];
-      const Vec3 s = sten_shifts[k];
-      const auto atoms_n = grid.cell_atoms(nc);
-      for (int a : atoms_c) {
-        const Vec3 pa = wp[a] - s;
-        for (int b : atoms_n) {
-          if (nc == c && b <= a) continue;
-          const Vec3 d = pa - wp[b];
-          if (norm2(d) >= rl2) continue;
-          const int i = std::min(a, b);
-          const int j = std::max(a, b);
-          if (top.excluded(i, j)) continue;
-          // Amortized growth into the persistent shard: allocation-free once
-          // capacities settle (asserted by the steady-state allocation test).
-          shard.pair_i.push_back(i);  // anton-lint: allow(hot-alloc)
-          shard.pair_j.push_back(j);  // anton-lint: allow(hot-alloc)
-          ++shard.counts[static_cast<size_t>(i)];
-        }
+// Grids with fewer than 3 cells along an axis alias their stencils; such
+// boxes hold few atoms, so every pair i < j is tested directly.  Rows fill
+// in ascending order.
+void NeighborList::build_all_pairs(const Box& box,
+                                   std::span<const Vec3> positions,
+                                   const Topology& top) {
+  const double rl2 = list_radius() * list_radius();
+  const int n = static_cast<int>(positions.size());
+  list_.clear();
+  starts_.assign(static_cast<size_t>(n) + 1, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (box.distance2(positions[static_cast<size_t>(i)],
+                        positions[static_cast<size_t>(j)]) < rl2 &&
+          !top.excluded(i, j)) {
+        list_.push_back(j);
       }
     }
+    starts_[static_cast<size_t>(i) + 1] =
+        static_cast<int64_t>(list_.size());
   }
 }
 
-// Counting pass: per-atom totals -> CSR starts_, shard counts -> scatter
-// cursors (disjoint slots per shard), then race-free scatter and a per-atom
-// sort so the layout matches the serial build exactly.
-void NeighborList::merge_shards(int n, unsigned nshards, ThreadPool* pool) {
-  starts_.assign(static_cast<size_t>(n) + 1, 0);
-  int64_t total = 0;
-  for (int i = 0; i < n; ++i) {
-    int64_t cursor = total;
-    for (unsigned t = 0; t < nshards; ++t) {
-      auto& counts = shards_[t].counts;
-      const int c = counts[static_cast<size_t>(i)];
-      counts[static_cast<size_t>(i)] = static_cast<int>(cursor);
-      cursor += c;
-    }
-    total = cursor;
-    starts_[static_cast<size_t>(i) + 1] = total;
-  }
-  list_.resize(static_cast<size_t>(total));
+// Wraps and stages positions in cell order, and derives the lower-exclusion
+// index from the topology's upper lists.
+void NeighborList::stage(const Box& box, std::span<const Vec3> positions,
+                         const Topology& top) {
+  const size_t n = positions.size();
+  const CellGrid& grid = *grid_;
+  // Wrap once so the gather can use shift-based displacements (no
+  // divisions); for positions already in-box this is the identity.
+  wrapped_.resize(n);
+  for (size_t i = 0; i < n; ++i) wrapped_[i] = box.wrap(positions[i]);
 
-  auto scatter = [&](unsigned t) {
-    if (t >= nshards) return;
-    BuildShard& shard = shards_[t];
-    auto& cursors = shard.counts;
-    const size_t npairs = shard.pair_i.size();
-    for (size_t k = 0; k < npairs; ++k) {
-      list_[static_cast<size_t>(
-          cursors[static_cast<size_t>(shard.pair_i[k])]++)] = shard.pair_j[k];
+  const size_t padded = n + simd::kLanesD;
+  x_.assign(padded, 0.0);
+  y_.assign(padded, 0.0);
+  z_.assign(padded, 0.0);
+  id_.assign(padded, 0.0);
+  atom_.assign(padded, 0);
+  cell_of_.resize(n);
+  const int cells = grid.num_cells();
+  bounds_.resize(static_cast<size_t>(cells));
+  size_t slot = 0;
+  for (int c = 0; c < cells; ++c) {
+    const auto atoms = grid.cell_atoms(c);
+    Bounds& b = bounds_[static_cast<size_t>(c)];
+    b = {};
+    if (!atoms.empty()) b.lo = b.hi = wrapped_[static_cast<size_t>(atoms[0])];
+    for (int i : atoms) {
+      const Vec3& p = wrapped_[static_cast<size_t>(i)];
+      x_[slot] = p.x;
+      y_[slot] = p.y;
+      z_[slot] = p.z;
+      id_[slot] = i;
+      atom_[slot] = i;
+      cell_of_[static_cast<size_t>(i)] = c;
+      ++slot;
+      b.lo = {std::min(b.lo.x, p.x), std::min(b.lo.y, p.y),
+              std::min(b.lo.z, p.z)};
+      b.hi = {std::max(b.hi.x, p.x), std::max(b.hi.y, p.y),
+              std::max(b.hi.z, p.z)};
     }
-  };
-  auto sort_range = [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      std::sort(list_.begin() + starts_[i], list_.begin() + starts_[i + 1]);
+  }
+
+  // Transpose of the exclusion lists (atoms j > i excluded from i): a
+  // counting pass, then a fill in ascending i, so each row is sorted.
+  excl_lower_start_.assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (int j : top.exclusions_of(static_cast<int>(i))) {
+      ++excl_lower_start_[static_cast<size_t>(j) + 1];
     }
-  };
-  if (pool != nullptr && nshards > 1) {
-    pool->for_each_thread(scatter);
-    pool->parallel_for(static_cast<size_t>(n), sort_range);
-  } else {
-    for (unsigned t = 0; t < nshards; ++t) scatter(t);
-    sort_range(0, static_cast<size_t>(n));
+  }
+  for (size_t j = 0; j < n; ++j) {
+    excl_lower_start_[j + 1] += excl_lower_start_[j];
+  }
+  excl_lower_.resize(static_cast<size_t>(excl_lower_start_[n]));
+  for (size_t i = 0; i < n; ++i) {
+    for (int j : top.exclusions_of(static_cast<int>(i))) {
+      // The counts become fill cursors and end up shifted one row down.
+      excl_lower_[static_cast<size_t>(
+          excl_lower_start_[static_cast<size_t>(j)]++)] = static_cast<int>(i);
+    }
+  }
+  for (size_t j = n; j > 0; --j) excl_lower_start_[j] = excl_lower_start_[j - 1];
+  excl_lower_start_[0] = 0;
+}
+
+// Finds, for every atom j of block b, the atoms i < j within the list
+// radius that are not excluded from j.
+//
+// The accept test reproduces the half-shell cell walk, in which atom a of
+// cell c meets atom b of a cell in c's half stencil at image shift s and is
+// accepted when norm2((w_a - s) - w_b) < rl².  From j's side, with shift s
+// of the neighbour cell of i:
+//   * i's cell in the upper half stencil of j's cell (self included): the
+//     walk had a = j, so the displacement is (w_j - s) - w_i;
+//   * otherwise the walk had a = i, from i's cell with shift -s; its
+//     displacement (w_i + s) - w_j is the exact negation of
+//     w_j - (w_i + s), which has the same square.
+// Squares are summed as (dx² + dy²) + dz², the order of norm2.
+void NeighborList::gather(int b) {
+  ANTON_HOT_NOALLOC();
+  using simd::VecD;
+  constexpr int W = simd::kLanesD;
+  const CellGrid& grid = *grid_;
+  const Vec3& len = grid.box().lengths();
+  const double rl = list_radius();
+  const double rl2 = rl * rl;
+  const VecD rl2v = VecD::broadcast(rl2);
+  const int* atom = atom_.data();
+
+  Block& blk = blocks_[static_cast<size_t>(b)];
+  const int j0 = block_begin_[static_cast<size_t>(b)];
+  const int j1 = block_begin_[static_cast<size_t>(b) + 1];
+  std::fill(blk.counts.begin(), blk.counts.end(), 0);
+  int* counts = blk.counts.data();
+  size_t used = 0;  // filled part of blk.lower
+
+  for (int j = j0; j < j1; ++j) {
+    const size_t sj = static_cast<size_t>(j);
+    const Vec3 wj = wrapped_[sj];
+    const VecD jv = VecD::broadcast(static_cast<double>(j));
+    const size_t first = used;
+    int cx, cy, cz;
+    grid.coords(cell_of_[sj], &cx, &cy, &cz);
+    const Step xs[3] = {step(cx, -1, grid.nx(), len.x),
+                        step(cx, 0, grid.nx(), len.x),
+                        step(cx, 1, grid.nx(), len.x)};
+    const Step ys[3] = {step(cy, -1, grid.ny(), len.y),
+                        step(cy, 0, grid.ny(), len.y),
+                        step(cy, 1, grid.ny(), len.y)};
+    const Step zs[3] = {step(cz, -1, grid.nz(), len.z),
+                        step(cz, 0, grid.nz(), len.z),
+                        step(cz, 1, grid.nz(), len.z)};
+    for (int dz = -1; dz <= 1; ++dz) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const Step& sx = xs[dx + 1];
+          const Step& sy = ys[dy + 1];
+          const Step& sz = zs[dz + 1];
+          const int nc = grid.index(sx.cell, sy.cell, sz.cell);
+          const int n0 = grid.cell_start(nc);
+          const int n1 = grid.cell_start(nc + 1);
+          // Atoms within a cell ascend, so the i < j form a prefix.
+          if (n0 == n1 || atom[n0] >= j) continue;
+          const Vec3 shift{sx.shift, sy.shift, sz.shift};
+          const Bounds& bb = bounds_[static_cast<size_t>(nc)];
+          if (beyond(bb.lo, bb.hi, wj, shift, len, rl2)) continue;
+
+          if (blk.lower.size() < used + static_cast<size_t>(n1 - n0 + W)) {
+            // Amortized growth into the persistent block buffer:
+            // allocation-free once capacities settle (asserted by the
+            // steady-state allocation test).
+            blk.lower.resize(std::max(  // anton-lint: allow(hot-alloc)
+                2 * blk.lower.size(), used + static_cast<size_t>(n1 - n0 + W)));
+          }
+          int* out = blk.lower.data();
+          const bool upper =
+              dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx >= 0)));
+          // Upper: (w_j - s) - w_i.  Lower: w_j - (w_i + s).
+          const Vec3 a = upper ? wj - shift : wj;
+          const VecD ax = VecD::broadcast(a.x), ay = VecD::broadcast(a.y),
+                     az = VecD::broadcast(a.z);
+          const VecD bx = VecD::broadcast(shift.x),
+                     by = VecD::broadcast(shift.y),
+                     bz = VecD::broadcast(shift.z);
+          for (int s = n0; s < n1 && atom[s] < j; s += W) {
+            const size_t k = static_cast<size_t>(s);
+            VecD xi = VecD::loadu(&x_[k]);
+            VecD yi = VecD::loadu(&y_[k]);
+            VecD zi = VecD::loadu(&z_[k]);
+            if (!upper) {
+              xi = xi + bx;
+              yi = yi + by;
+              zi = zi + bz;
+            }
+            const VecD ddx = ax - xi, ddy = ay - yi, ddz = az - zi;
+            const VecD d2 = (ddx * ddx + ddy * ddy) + ddz * ddz;
+            unsigned bits = static_cast<unsigned>(
+                (cmp_lt(d2, rl2v) & cmp_lt(VecD::loadu(&id_[k]), jv)).bits());
+            if (n1 - s < W) bits &= (1u << (n1 - s)) - 1u;
+            // Branch-free left-pack of the accepted atoms, lowest lane first.
+            for (int l = 0; l < W; ++l) {
+              out[used] = atom[s + l];
+              used += (bits >> l) & 1u;
+            }
+          }
+        }
+      }
+    }
+    // Drop the pairs excluded from j, then count the rest into their rows.
+    const int* ex = excl_lower_.data() + excl_lower_start_[sj];
+    const int* ex_end = excl_lower_.data() + excl_lower_start_[sj + 1];
+    if (ex != ex_end) {
+      size_t kept = first;
+      for (size_t k = first; k < used; ++k) {
+        const int i = blk.lower[k];
+        if (i >= *ex && std::find(ex, ex_end, i) != ex_end) continue;
+        blk.lower[kept++] = i;
+      }
+      used = kept;
+    }
+    for (size_t k = first; k < used; ++k) ++counts[blk.lower[k]];
+    blk.ends[sj - static_cast<size_t>(j0)] = static_cast<int64_t>(used);
+  }
+}
+
+// Rows i < block end only ever hold pairs of blocks at or after i's own, so
+// each block keeps counts for the rows below its end and the sum for row i
+// runs over the blocks from i's block on.
+void NeighborList::count(int n) {
+  starts_.resize(static_cast<size_t>(n) + 1);
+  int64_t total = 0;
+  int first = 0;  // first block whose end lies above row i
+  for (int i = 0; i < n; ++i) {
+    while (block_begin_[static_cast<size_t>(first) + 1] <= i) ++first;
+    starts_[static_cast<size_t>(i)] = total;
+    for (int b = first; b < num_blocks_; ++b) {
+      int& c = blocks_[static_cast<size_t>(b)].counts[static_cast<size_t>(i)];
+      const int pairs = c;
+      c = static_cast<int>(total);
+      total += pairs;
+    }
+  }
+  starts_[static_cast<size_t>(n)] = total;
+  list_.resize(static_cast<size_t>(total));
+}
+
+// Writes each j of block b into the rows of its accepted i, in ascending j.
+void NeighborList::scatter(int b) {
+  ANTON_HOT_NOALLOC();
+  Block& blk = blocks_[static_cast<size_t>(b)];
+  int* cursor = blk.counts.data();
+  int* out = list_.data();
+  const int j0 = block_begin_[static_cast<size_t>(b)];
+  const int j1 = block_begin_[static_cast<size_t>(b) + 1];
+  int64_t k = 0;
+  for (int j = j0; j < j1; ++j) {
+    const int64_t end = blk.ends[static_cast<size_t>(j - j0)];
+    for (; k < end; ++k) out[cursor[blk.lower[static_cast<size_t>(k)]]++] = j;
   }
 }
 
@@ -117,81 +332,36 @@ void NeighborList::build(const Box& box, std::span<const Vec3> positions,
     grid_->reset(box, rl);
   }
   CellGrid& grid = *grid_;
-  grid.bin(positions);
 
-  const double rl2 = rl * rl;
-  const bool tiny_grid =
-      grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3;
-  const unsigned nshards =
-      (pool == nullptr || tiny_grid ||
-       positions.size() < kSerialThreshold)
-          ? 1
-          : std::min(pool->size(),
-                     static_cast<unsigned>(grid.num_cells()));
-
-  if (shards_.size() < nshards) shards_.resize(nshards);
-  for (unsigned t = 0; t < nshards; ++t) {
-    shards_[t].pair_i.clear();
-    shards_[t].pair_j.clear();
-    shards_[t].counts.assign(static_cast<size_t>(n), 0);
-  }
-
-  if (tiny_grid) {
-    // Stencils alias on tiny grids; fall back to O(N²) which is only hit by
-    // very small test systems.
-    BuildShard& shard = shards_[0];
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (box.distance2(positions[static_cast<size_t>(i)],
-                          positions[static_cast<size_t>(j)]) < rl2 &&
-            !top.excluded(i, j)) {
-          shard.pair_i.push_back(i);
-          shard.pair_j.push_back(j);
-          ++shard.counts[static_cast<size_t>(i)];
-        }
-      }
-    }
-    merge_shards(n, 1, nullptr);
+  if (grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3) {
+    build_all_pairs(box, positions, top);
   } else {
-    // Wrap once so the collection loop can use shift-based displacements
-    // (no divisions); for positions already in-box this is the identity.
-    wrapped_.resize(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      wrapped_[static_cast<size_t>(i)] =
-          box.wrap(positions[static_cast<size_t>(i)]);
+    grid.bin(positions);
+    stage(box, positions, top);
+
+    if (pool == nullptr || positions.size() < kSerialThreshold) pool = nullptr;
+    num_blocks_ =
+        pool == nullptr
+            ? 1
+            : std::min(n, static_cast<int>(pool->size()) * kBlocksPerThread);
+    if (blocks_.size() < static_cast<size_t>(num_blocks_)) {
+      blocks_.resize(static_cast<size_t>(num_blocks_));
+    }
+    block_begin_.resize(static_cast<size_t>(num_blocks_) + 1);
+    for (int b = 0; b <= num_blocks_; ++b) {
+      block_begin_[static_cast<size_t>(b)] =
+          static_cast<int>(static_cast<int64_t>(n) * b / num_blocks_);
+    }
+    for (int b = 0; b < num_blocks_; ++b) {
+      const int j0 = block_begin_[static_cast<size_t>(b)];
+      const int j1 = block_begin_[static_cast<size_t>(b) + 1];
+      blocks_[static_cast<size_t>(b)].ends.resize(static_cast<size_t>(j1 - j0));
+      blocks_[static_cast<size_t>(b)].counts.resize(static_cast<size_t>(j1));
     }
 
-    // Split cells so each shard owns a contiguous range with roughly equal
-    // atoms (cells are CSR-ordered, so grid starts give cumulative atoms).
-    const int ncells = grid.num_cells();
-    shard_cell_begin_.assign(nshards + 1, 0);
-    shard_cell_begin_[nshards] = ncells;
-    for (unsigned t = 1; t < nshards; ++t) {
-      const int target =
-          static_cast<int>(static_cast<int64_t>(n) * t / nshards);
-      int lo = shard_cell_begin_[t - 1], hi = ncells;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo) / 2;
-        if (grid.cell_start(mid) < target) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      shard_cell_begin_[t] = lo;
-    }
-
-    if (nshards > 1) {
-      pool->for_each_thread([&](unsigned t) {
-        if (t < nshards) {
-          collect_cells(grid, top, rl2, shard_cell_begin_[t],
-                        shard_cell_begin_[t + 1], shards_[t]);
-        }
-      });
-    } else {
-      collect_cells(grid, top, rl2, 0, ncells, shards_[0]);
-    }
-    merge_shards(n, nshards, nshards > 1 ? pool : nullptr);
+    for_each_block(pool, num_blocks_, [this](int b) { gather(b); });
+    count(n);
+    for_each_block(pool, num_blocks_, [this](int b) { scatter(b); });
   }
 
   ref_positions_.assign(positions.begin(), positions.end());

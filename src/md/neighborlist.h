@@ -1,15 +1,25 @@
 // Verlet neighbour list with skin, built from a cell grid in O(N).
 //
 // Pairs are stored half (each unordered pair once, under the lower index,
-// sorted per atom).  Topological exclusions are filtered at build time, so
+// rows ascending).  Topological exclusions are filtered at build time, so
 // force loops never branch on exclusion.
 //
-// The build is parallelised over cells when a ThreadPool is supplied: each
-// thread collects pairs into a persistent shard buffer, a counting pass
-// merges the shards directly into the CSR arrays (disjoint slots, so the
-// scatter is race-free), and a parallel per-atom sort makes the result
-// identical to the serial build bit-for-bit.  All scratch persists across
-// builds, so steady-state rebuilds do not allocate once capacities settle.
+// The build is a gather followed by a scatter, and neither sorts:
+//   * Stage: wrap positions, bin them on a grid of list-radius cells, and
+//     copy them as SoA in cell order with a bounding box per cell.
+//   * Gather, over contiguous blocks of atoms j: walk the 27 cells around
+//     j's cell, skip a cell whose bounding box is certainly beyond the list
+//     radius, and test its atoms i < j four at a time.  Accepted i that are
+//     not excluded from j are appended to the block's buffer and counted
+//     per row i.
+//   * Scatter: a prefix sum over rows and blocks gives the CSR offsets and
+//     each block's cursor into every row; each block then writes its j into
+//     rows i in ascending j.  Rows come out sorted, whatever the number of
+//     blocks or threads.
+// The accept test reproduces the half-shell cell walk bit for bit, so the
+// CSR does not depend on how the walk is organised (see DESIGN.md, "MD
+// engine").  All scratch persists across builds, so steady-state rebuilds
+// do not allocate once capacities settle.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +46,7 @@ class NeighborList {
   double list_radius() const { return cutoff_ + skin_; }
 
   // Rebuilds from scratch; remembers positions for displacement tracking.
-  // With a pool, collection/scatter/sort run threaded; the resulting CSR is
+  // With a pool, gather and scatter run threaded; the resulting CSR is
   // identical to the serial build.
   void build(const Box& box, std::span<const Vec3> positions,
              const Topology& top, ThreadPool* pool = nullptr);
@@ -69,17 +79,26 @@ class NeighborList {
   void validate() const;
 
  private:
-  // One per build thread: pairs found plus per-atom counts (reused as
-  // scatter cursors by the merge pass).
-  struct BuildShard {
-    std::vector<int> pair_i;
-    std::vector<int> pair_j;
-    std::vector<int> counts;
+  // Gather output of the atoms j in [block_begin_[b], block_begin_[b + 1]).
+  struct Block {
+    std::vector<int> lower;     // accepted i < j, grouped by ascending j;
+                                // grows as a buffer, filled up to ends.back()
+    std::vector<int64_t> ends;  // per j: end of its group in `lower`
+    std::vector<int> counts;    // per row i < block end: pairs, then cursor
+  };
+  // Per-cell bounding box of the staged (wrapped) positions.
+  struct Bounds {
+    Vec3 lo, hi;
   };
 
-  void collect_cells(const CellGrid& grid, const Topology& top, double rl2,
-                     int cell_begin, int cell_end, BuildShard& shard) const;
-  void merge_shards(int n, unsigned nshards, ThreadPool* pool);
+  void build_all_pairs(const Box& box, std::span<const Vec3> positions,
+                       const Topology& top);
+  void stage(const Box& box, std::span<const Vec3> positions,
+             const Topology& top);
+  void gather(int b);
+  void scatter(int b);
+  // Prefix sum over rows and blocks: starts_, and each block's cursors.
+  void count(int n);
 
   double cutoff_;
   double skin_;
@@ -89,9 +108,21 @@ class NeighborList {
   // Build scratch, persistent across builds.  The cell grid keeps its
   // binning storage, so steady-state rebuilds touch no allocator.
   std::unique_ptr<CellGrid> grid_;
-  std::vector<Vec3> wrapped_;
-  std::vector<BuildShard> shards_;
-  std::vector<int> shard_cell_begin_;
+  std::vector<Vec3> wrapped_;      // per atom
+  std::vector<int> cell_of_;       // per atom
+  // Staging, slot k = k-th atom in cell order; the slot arrays carry
+  // simd::kLanesD padding slots so a ragged 4-wide chunk stays in bounds.
+  std::vector<double> x_, y_, z_;
+  std::vector<double> id_;         // slot -> atom, as a SIMD-comparable value
+  std::vector<int> atom_;          // slot -> atom, ascending within a cell
+  std::vector<Bounds> bounds_;     // per cell
+  // Lower-exclusion index: the excluded atoms i < j of atom j, ascending,
+  // in [excl_lower_start_[j], excl_lower_start_[j + 1]).
+  std::vector<int> excl_lower_start_;
+  std::vector<int> excl_lower_;
+  std::vector<Block> blocks_;
+  std::vector<int> block_begin_;
+  int num_blocks_ = 0;
 };
 
 }  // namespace anton

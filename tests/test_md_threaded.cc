@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "chem/builder.h"
+#include "common/rng.h"
 #include "common/threadpool.h"
+#include "md/constraints.h"
 #include "md/forces.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
@@ -238,6 +240,34 @@ TEST(Threaded, SteadyStateShortRangeIsAllocationFree) {
     const std::int64_t during_build = g_allocs.load() - before_build;
     EXPECT_EQ(during_build, 0) << "steady-state nlist build allocated";
   }
+}
+
+// A warmed, pooled SHAKE + RATTLE touches no allocator: the clusters, their
+// constants and the direction scratch are sized at construction, and the
+// pool dispatch is a function-pointer trampoline.
+TEST(Threaded, SteadyStateConstraintsAreAllocationFree) {
+  ThreadPool pool(4);
+  const System& sys = water2k();
+  ConstraintClusters clusters(sys.topology());
+  const std::vector<Vec3> ref(sys.positions().begin(), sys.positions().end());
+  std::vector<Vec3> pos = ref;
+  std::vector<Vec3> vel(sys.velocities().begin(), sys.velocities().end());
+  Rng rng(5, 0);
+  for (auto& p : pos) p += 0.02 * rng.gaussian_vec3();
+  const std::vector<Vec3> drifted = pos;
+
+  clusters.shake(sys.box(), ref, pos, vel, 0.05, 1e-8, 500, &pool);
+  clusters.rattle(sys.box(), pos, vel, 1e-8, 500, &pool);
+
+  pos = drifted;
+  const std::int64_t before = g_allocs.load();
+  const ShakeStats s =
+      clusters.shake(sys.box(), ref, pos, vel, 0.05, 1e-8, 500, &pool);
+  const ShakeStats r = clusters.rattle(sys.box(), pos, vel, 1e-8, 500, &pool);
+  const std::int64_t during = g_allocs.load() - before;
+  EXPECT_TRUE(s.converged);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(during, 0) << "steady-state SHAKE + RATTLE allocated";
 }
 
 // The long-range path — GSE spread, threaded r2c FFT, k-space multiply,

@@ -3,6 +3,7 @@
 // machine model and the functional MD engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -390,6 +391,31 @@ TEST(MdTelemetry, PhaseBreakdownCoversStepTime) {
   EXPECT_GE(phase_sum, 0.50 * total.sum());
   // The threaded pair kernel reports per-worker spans for imbalance.
   EXPECT_GT(reg->stat("md.pair.thread_seconds")->snapshot().count(), 0u);
+}
+
+// The per-step displacement scan that decides whether to rebuild the
+// neighbour list is its own phase, beside the rebuild itself.
+TEST(MdTelemetry, NlistCheckHasItsOwnPhase) {
+  System sys = build_water_box(125, 11);
+  MdParams p;
+  p.cutoff = 6.5;
+  p.skin = 0.7;
+  p.long_range = LongRangeMethod::kNone;
+  p.telemetry = true;
+  md::Simulation sim(std::move(sys), p);
+  sim.step(5);
+
+  obs::MetricsRegistry* reg = sim.metrics();
+  ASSERT_NE(reg, nullptr);
+  const std::vector<std::string> names = reg->names();
+  auto has = [&](const char* key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
+  ASSERT_TRUE(has("md.phase.nlist.seconds"));
+  ASSERT_TRUE(has("md.phase.nlist_check.seconds"));
+  // The first build happens at construction; every step's force
+  // evaluation then scans the displacements.
+  EXPECT_GE(reg->stat("md.phase.nlist_check.seconds")->snapshot().count(), 5u);
 }
 
 TEST(MdTelemetry, DisabledByDefault) {
