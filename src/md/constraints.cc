@@ -51,7 +51,9 @@ ConstraintClusters::ConstraintClusters(const Topology& top) {
   };
   for (const auto& c : constraints) {
     const int ri = find(c.i), rj = find(c.j);
-    if (ri != rj) parent[static_cast<size_t>(std::max(ri, rj))] = std::min(ri, rj);
+    if (ri != rj) {
+      parent[static_cast<size_t>(std::max(ri, rj))] = std::min(ri, rj);
+    }
   }
 
   // Clusters are numbered by their first constraint; each keeps its

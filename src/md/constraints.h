@@ -31,7 +31,8 @@ struct ShakeStats {
 
 // The constraint clusters of a topology, with the per-constraint constants
 // (d², inverse masses) and sweep scratch.  Build once per topology; steady
-// calls do not allocate.
+// calls do not allocate.  One object serves one call at a time (the calls
+// share its direction scratch).
 class ConstraintClusters {
  public:
   explicit ConstraintClusters(const Topology& top);
@@ -40,12 +41,12 @@ class ConstraintClusters {
     return static_cast<int>(cluster_start_.size()) - 1;
   }
 
-  // Adjusts `pos` so that every constraint is satisfied to |r²-d²|/d² <= tol.
-  // `ref` holds the positions *before* the unconstrained update (constraint
-  // directions are evaluated there, as in standard SHAKE) and must not
-  // overlap `pos`.  If `vel` is non-empty, the position corrections are also
-  // applied to velocities as Δp/dt (the velocity half of constrained
-  // velocity Verlet).
+  // Adjusts `pos` so that every constraint is satisfied to
+  // |r²-d²|/d² <= tol.  `ref` holds the positions *before* the
+  // unconstrained update (constraint directions are evaluated there, as in
+  // standard SHAKE) and must not overlap `pos`.  If `vel` is non-empty, the
+  // position corrections are also applied to velocities as Δp/dt (the
+  // velocity half of constrained velocity Verlet).
   ShakeStats shake(const Box& box, std::span<const Vec3> ref,
                    std::span<Vec3> pos, std::span<Vec3> vel, double dt,
                    double tol, int max_iter, ThreadPool* pool = nullptr);

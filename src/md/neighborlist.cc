@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "common/error.h"
 #include "common/simd.h"
@@ -157,7 +156,9 @@ void NeighborList::stage(const Box& box, std::span<const Vec3> positions,
           excl_lower_start_[static_cast<size_t>(j)]++)] = static_cast<int>(i);
     }
   }
-  for (size_t j = n; j > 0; --j) excl_lower_start_[j] = excl_lower_start_[j - 1];
+  for (size_t j = n; j > 0; --j) {
+    excl_lower_start_[j] = excl_lower_start_[j - 1];
+  }
   excl_lower_start_[0] = 0;
 }
 
@@ -223,12 +224,13 @@ void NeighborList::gather(int b) {
           const Bounds& bb = bounds_[static_cast<size_t>(nc)];
           if (beyond(bb.lo, bb.hi, wj, shift, len, rl2)) continue;
 
-          if (blk.lower.size() < used + static_cast<size_t>(n1 - n0 + W)) {
+          const size_t room = used + static_cast<size_t>(n1 - n0 + W);
+          if (blk.lower.size() < room) {
             // Amortized growth into the persistent block buffer:
             // allocation-free once capacities settle (asserted by the
             // steady-state allocation test).
-            blk.lower.resize(std::max(  // anton-lint: allow(hot-alloc)
-                2 * blk.lower.size(), used + static_cast<size_t>(n1 - n0 + W)));
+            blk.lower.resize(  // anton-lint: allow(hot-alloc)
+                std::max(2 * blk.lower.size(), room));
           }
           int* out = blk.lower.data();
           const bool upper =
@@ -303,17 +305,25 @@ void NeighborList::count(int n) {
 }
 
 // Writes each j of block b into the rows of its accepted i, in ascending j.
+// The rows a stretch of j writes to span several MB of the list, so each
+// write's line is prefetched a fixed distance ahead.
 void NeighborList::scatter(int b) {
   ANTON_HOT_NOALLOC();
+  constexpr int64_t kAhead = 64;
   Block& blk = blocks_[static_cast<size_t>(b)];
   int* cursor = blk.counts.data();
   int* out = list_.data();
+  const int* lower = blk.lower.data();
   const int j0 = block_begin_[static_cast<size_t>(b)];
   const int j1 = block_begin_[static_cast<size_t>(b) + 1];
+  const int64_t total = j1 > j0 ? blk.ends.back() : 0;
   int64_t k = 0;
   for (int j = j0; j < j1; ++j) {
     const int64_t end = blk.ends[static_cast<size_t>(j - j0)];
-    for (; k < end; ++k) out[cursor[blk.lower[static_cast<size_t>(k)]]++] = j;
+    for (; k < end; ++k) {
+      if (k + kAhead < total) simd::prefetch(out + cursor[lower[k + kAhead]]);
+      out[cursor[lower[k]]++] = j;
+    }
   }
 }
 

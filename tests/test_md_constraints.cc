@@ -229,7 +229,8 @@ TEST(Constraints, ClusterSweepBitwiseAcrossThreadCounts) {
   const double dt = 0.05;
   ConstraintClusters clusters(top);
   ASSERT_GT(clusters.num_clusters(), 1);
-  ASSERT_LT(clusters.num_clusters(), static_cast<int>(top.constraints().size()));
+  ASSERT_LT(clusters.num_clusters(),
+            static_cast<int>(top.constraints().size()));
 
   for (const int max_iter : {500, 3}) {
     SCOPED_TRACE(max_iter);
